@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from campc.numqp import DimensionError, SoftQP, SolveResult, _as_matrix, _as_vector
 
@@ -30,8 +31,10 @@ class StateSpaceModel:
     D: np.ndarray = None
 
     def __post_init__(self):
-        A = _as_matrix(self.A, "A")
-        B = np.asarray(self.B, dtype=float).reshape(A.shape[0], -1)
+        # contiguous, so the per-step A @ x runs on the fast BLAS path
+        A = np.ascontiguousarray(_as_matrix(self.A, "A"))
+        B = np.ascontiguousarray(
+            np.asarray(self.B, dtype=float).reshape(A.shape[0], -1))
         C = np.asarray(self.C, dtype=float).reshape(-1, A.shape[0])
         D = self.D
         if D is None:
@@ -83,9 +86,6 @@ class ConstraintBlock:
     @property
     def rows(self) -> int:
         return self.M.shape[0]
-
-
-_EMPTY = None
 
 
 def _empty_block(dim):
@@ -166,6 +166,9 @@ class CondensedQP:
     provenance: Provenance
     # z-only cost constant: const(z) = z' K2 z (dropped from the QP)
     _const_quad: np.ndarray = None
+    # constraint rows over w = [u_prev; x_1; ...; x_N] of the rollout
+    # with u_prev held, so that c + Lz = c - _rollout_rows @ w
+    _rollout_rows: sparse.csr_matrix = None
 
     @property
     def n_v(self) -> int:
@@ -186,6 +189,32 @@ class CondensedQP:
     @property
     def N(self) -> int:
         return self.layout.N
+
+    def bound(self, z: np.ndarray) -> np.ndarray:
+        """Constraint right-hand side c + Lz, without reading L.
+
+        Rolls the model N steps from x with u_prev held,
+        x_i = A x_{i-1} + B u_prev, and returns per block, in the
+        condensed row order: g - M x_i for state rows, g - M u_prev for
+        input rows and g for rate rows.  Equals `self.qp.bound(z)` up to
+        rounding.  Cost: N n_x^2 for the rollout plus N nnz(M) for the
+        sparse constraint blocks, against n_c n_z for the dense product;
+        a dense state M therefore makes it costlier than `qp.bound`.
+        """
+        z = self.qp._check_z(z)
+        lay = self.layout
+        u_prev = z[lay.u_prev_offset:lay.y_ref_offset]
+        w = np.empty(self._rollout_rows.shape[1])
+        w[:lay.n_u] = u_prev
+        A = self.model.A
+        Bu = self.model.B @ u_prev
+        x = z[lay.x_offset:lay.u_prev_offset]
+        # no state rows: w holds u_prev only and the rollout is skipped
+        for x_next in w[lay.n_u:].reshape(-1, lay.n_x):
+            np.dot(A, x, out=x_next)
+            x_next += Bu
+            x = x_next
+        return self.qp.c - self._rollout_rows @ w
 
     def cost_constant(self, z: np.ndarray) -> float:
         """z-dependent constant dropped from the condensed objective."""
@@ -256,6 +285,10 @@ def condense(model: StateSpaceModel, prob: TrackingProblem) -> CondensedQP:
     Lmat = np.zeros((n_c, n_z))
     rho = np.zeros(n_c)
     kinds, steps, rows = [], [], []
+    # (block, row offset, column offset) in the rollout map, whose
+    # columns are [u_prev; x_1; ...; x_N], or [u_prev] without state rows
+    placed = []
+    Ms, Mi = sparse.coo_matrix(sc.M), sparse.coo_matrix(ic.M)
     r = 0
     for i in range(1, N + 1):
         if sc.rows:
@@ -264,6 +297,7 @@ def condense(model: StateSpaceModel, prob: TrackingProblem) -> CondensedQP:
             c[sl] = sc.g
             Lmat[sl, :n_x] = -sc.M @ powA[i]
             Lmat[sl, n_x:n_x + n_u] = -sc.M @ Gam[i]
+            placed.append((Ms, r, n_u + (i - 1) * n_x))
             rho[sl] = sc.rho
             kinds += [KIND_STATE] * sc.rows
             steps += [i] * sc.rows
@@ -278,6 +312,7 @@ def condense(model: StateSpaceModel, prob: TrackingProblem) -> CondensedQP:
             W[sl] = ic.M @ Su
             c[sl] = ic.g
             Lmat[sl, n_x:n_x + n_u] = -ic.M
+            placed.append((Mi, r, 0))
             rho[sl] = ic.rho
             kinds += [KIND_INPUT] * ic.rows
             steps += [i - 1] * ic.rows
@@ -298,13 +333,29 @@ def condense(model: StateSpaceModel, prob: TrackingProblem) -> CondensedQP:
     qp = SoftQP(H=H, F=F, W=W, c=c, L=Lmat, rho=rho)
     prov = Provenance(np.array(kinds), np.array(steps, dtype=int),
                       np.array(rows, dtype=int))
+    n_w = n_u + (N * n_x if sc.rows else 0)
+    rollout_rows = _place_blocks(placed, (n_c, n_w))
     return CondensedQP(qp=qp, model=model, layout=layout, provenance=prov,
-                       _const_quad=const_quad)
+                       _const_quad=const_quad, _rollout_rows=rollout_rows)
+
+
+def _place_blocks(placed, shape) -> sparse.csr_matrix:
+    """CSR matrix holding each COO block at its (row, column) offset."""
+    data = [np.zeros(0)] + [b.data for b, _, _ in placed]
+    row = [np.zeros(0, int)] + [b.row + r for b, r, _ in placed]
+    col = [np.zeros(0, int)] + [b.col + c for b, _, c in placed]
+    return sparse.csr_matrix(
+        (np.concatenate(data), (np.concatenate(row), np.concatenate(col))),
+        shape=shape)
 
 
 def assemble_z(x: np.ndarray, u_prev: np.ndarray, y_refs,
                layout: ZLayout | None = None) -> np.ndarray:
-    """Stack [x; u_prev; y_ref_1; ...; y_ref_N]."""
+    """Stack [x; u_prev; y_ref_1; ...; y_ref_N].
+
+    Raises ValueError naming the block (x, u_prev or the reference
+    window) that holds NaN or inf.
+    """
     x = np.asarray(x, dtype=float).ravel()
     u_prev = np.asarray(u_prev, dtype=float).ravel()
     refs = [np.asarray(yr, dtype=float).ravel() for yr in y_refs]
@@ -313,7 +364,14 @@ def assemble_z(x: np.ndarray, u_prev: np.ndarray, y_refs,
             raise DimensionError("x/u_prev lengths do not match layout")
         if len(refs) != layout.N or any(len(yr) != layout.n_y for yr in refs):
             raise DimensionError("reference window does not match layout")
-    return np.concatenate([x, u_prev] + refs)
+    z = np.concatenate([x, u_prev] + refs)
+    if not np.isfinite(z).all():
+        n_xu = len(x) + len(u_prev)
+        for name, block in (("x", x), ("u_prev", u_prev),
+                            ("reference window", z[n_xu:])):
+            if not np.isfinite(block).all():
+                raise ValueError(f"{name} holds NaN or inf")
+    return z
 
 
 def shift_warm_start(prev: SolveResult | None, qp: CondensedQP,

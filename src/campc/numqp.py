@@ -13,7 +13,7 @@ brute-force enumeration oracle for testing.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -138,10 +138,6 @@ class SoftQP:
         return z
 
 
-def unconstrained_minimizer(qp: SoftQP, z: np.ndarray) -> np.ndarray:
-    return qp.unconstrained_minimizer(z)
-
-
 @dataclass(frozen=True)
 class SolverOptions:
     tol: float = 1e-8
@@ -184,18 +180,25 @@ def _kkt_residual(qp, b, g, v, eps, lam, mu):
 
 
 def solve_soft_qp(qp: SoftQP, z: np.ndarray,
-                  opts: SolverOptions | None = None) -> SolveResult:
+                  opts: SolverOptions | None = None,
+                  rhs: np.ndarray | None = None) -> SolveResult:
     """Mehrotra predictor-corrector interior point method on (v, eps).
 
     Inequalities are handled through positive slacks s (constraint rows)
     and t (eps >= 0); eps itself is eliminated from the Newton system,
-    leaving an n_v x n_v condensed KKT matrix per iteration.
+    leaving an n_v x n_v condensed KKT matrix per iteration.  `rhs` may
+    carry a precomputed c + Lz.
     """
     if opts is None:
         opts = SolverOptions()
     z = qp._check_z(z)
     g = qp.F @ z
     n_v, n_c = qp.n_v, qp.n_c
+    if rhs is not None:
+        rhs = _as_vector(rhs, "rhs")
+        if len(rhs) != n_c:
+            raise DimensionError(
+                f"rhs has length {len(rhs)}, expected {n_c}")
 
     if n_c == 0:
         v = qp.unconstrained_minimizer(z)
@@ -204,7 +207,7 @@ def solve_soft_qp(qp: SoftQP, z: np.ndarray,
         return SolveResult(v, eps, qp.objective(v, eps, z), OPTIMAL, 0, res)
 
     H, W, rho = qp.H, qp.W, qp.rho
-    b = qp.bound(z)
+    b = qp.bound(z) if rhs is None else rhs
     delta = opts.eps_shift
 
     # strictly interior start: slack/dual pairs at >= 1

@@ -38,13 +38,15 @@ def _provenance(qp) -> Provenance | None:
 class ScreenerCache:
     """Per-row geometry precomputed offline: zeta_j = |W_j G^-1|_2.
 
-    `zero_rows` marks constraint rows with a zero normal (they need the
-    sign of c_j + L_j z instead of the ellipsoid test); it is None when
-    no such row exists, which keeps the hot screening path branch-free.
+    `qp` is the problem as given, a SoftQP or a CondensedQP, so that
+    c + Lz is formed the way the problem forms it.  `zero_rows` marks
+    constraint rows with a zero normal (they need the sign of
+    c_j + L_j z instead of the ellipsoid test); it is None when no such
+    row exists, which keeps the hot screening path branch-free.
     """
 
     zeta: np.ndarray
-    qp: SoftQP
+    qp: SoftQP | CondensedQP
     zero_rows: np.ndarray = None
 
 
@@ -100,7 +102,7 @@ def precompute_row_norms(qp) -> ScreenerCache:
     else:
         zeta = np.zeros(0)
     zero = zeta <= 0.0
-    return ScreenerCache(zeta=zeta, qp=soft,
+    return ScreenerCache(zeta=zeta, qp=qp,
                          zero_rows=zero if zero.any() else None)
 
 
@@ -116,7 +118,7 @@ def complete_slacks(v_tilde: np.ndarray, qp, z: np.ndarray,
         raise DimensionError(
             f"candidate has length {len(v_tilde)}, expected {soft.n_v}")
     if rhs is None:
-        rhs = soft.bound(z)
+        rhs = qp.bound(z)
     return np.maximum(0.0, soft.W @ v_tilde - rhs)
 
 
@@ -152,9 +154,8 @@ def screen(cache: ScreenerCache, bound: EllipsoidBound, z: np.ndarray,
     zero normal are kept only if always violated.  `rhs` and `Wq` may
     carry precomputed c + Lz and W q.
     """
-    soft = cache.qp
-    b = soft.bound(z) if rhs is None else rhs
-    margin = soft.W @ bound.q if Wq is None else np.array(Wq)
+    b = cache.qp.bound(z) if rhs is None else rhs
+    margin = _softqp(cache.qp).W @ bound.q if Wq is None else np.array(Wq)
     return _screen_core(cache, bound.sigma, eps_tilde, b, margin)
 
 
@@ -213,7 +214,7 @@ def expand_solution(red: SolveResult, kept: KeptSet, qp, z: np.ndarray,
     soft = _softqp(qp)
     v = np.asarray(red.v_star, dtype=float).ravel()
     if rhs is None:
-        rhs = soft.bound(z)
+        rhs = qp.bound(z)
     res = soft.W @ v - rhs
     eps = np.maximum(0.0, res)
     removed = np.ones(soft.n_c, dtype=bool)
@@ -240,7 +241,7 @@ def trivial_solution(bound: EllipsoidBound, v_tilde: np.ndarray, qp,
         return None
     soft = _softqp(qp)
     v = np.asarray(v_tilde, dtype=float).ravel()
-    eps = np.maximum(0.0, soft.W @ v - soft.bound(z))
+    eps = np.maximum(0.0, soft.W @ v - qp.bound(z))
     return SolveResult(v_star=v, eps_star=eps,
                        objective=soft.objective(v, eps, z),
                        status=OPTIMAL, iterations=0,

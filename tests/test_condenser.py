@@ -131,6 +131,31 @@ class TestCondenseAgainstRollout:
             assert np.abs(got - want).max() <= 1e-10 * (
                 1 + np.abs(want).max())
 
+    def test_rollout_bound_matches_dense_product(self):
+        rng = np.random.default_rng(11)
+        no_state_rows = set()   # both with and without state rows
+        for _ in range(60):
+            model, prob = _random_setup(rng)
+            cqp = condense(model, prob)
+            no_state_rows.add(prob.state_constraints is None)
+            z = rng.normal(size=cqp.n_z)
+            want = cqp.qp.bound(z)
+            got = cqp.bound(z)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(
+                want).max(initial=1.0)
+        assert no_state_rows == {True, False}
+
+    def test_rollout_bound_matches_on_thermal(self, thermal_setup):
+        model, prob, _ = thermal_setup
+        cqp = condense(model, prob)
+        rng = np.random.default_rng(12)
+        for _ in range(3):
+            z = rng.normal(scale=5.0, size=cqp.n_z)
+            want = cqp.qp.bound(z)
+            assert np.abs(cqp.bound(z) - want).max() <= 1e-12 * np.abs(
+                want).max()
+
     def test_provenance_is_a_bijection(self):
         rng = np.random.default_rng(9)
         model, prob = _random_setup(rng)

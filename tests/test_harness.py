@@ -94,6 +94,23 @@ class TestClosedLoop:
             assert trace.dev_inf <= 1e-6 * (1 + trace.v_full_norm)
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("mode", ["full", "reduced"])
+    @pytest.mark.parametrize("block", ["x", "u_prev", "reference window"])
+    def test_bad_block_is_named(self, mode, block):
+        scen = _small_scenario(mode=mode, steps=4)
+        if block == "x":
+            scen.x0[5] = np.nan
+        elif block == "u_prev":
+            scen.u_prev0[1] = np.inf
+        else:
+            good = scen.references
+            scen.references = lambda k: (
+                good(k) if k < 2 else [np.full(4, -np.inf)] + good(k)[1:])
+        with pytest.raises(ValueError, match=f"^{block} holds NaN or inf"):
+            run_closed_loop(scen)
+
+
 class TestVerifyReport:
     def test_report_fields(self):
         res = run_closed_loop(_small_scenario(mode="verify"))

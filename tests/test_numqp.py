@@ -118,6 +118,25 @@ class TestSolveSoftQP:
         assert np.allclose(res.v_star, [1.0])
         assert res.eps_star.shape == (0,)
 
+    def test_precomputed_rhs_gives_same_result(self):
+        rng = np.random.default_rng(15)
+        for _ in range(30):
+            qp, z = random_soft_qp(rng)
+            want = solve_soft_qp(qp, z)
+            got = solve_soft_qp(qp, z, rhs=qp.bound(z))
+            for field in ("v_star", "eps_star"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+            for field in ("objective", "status", "iterations", "kkt_residual"):
+                assert getattr(got, field) == getattr(want, field)
+
+    def test_rhs_length_checked(self):
+        empty = SoftQP(H=[[2.0]], F=[[2.0]], W=np.zeros((0, 1)), c=[],
+                       L=np.zeros((0, 1)), rho=[])
+        for qp, rhs in ((scalar_qp(), [0.5, 0.5]), (scalar_qp(), []),
+                        (empty, [0.5])):
+            with pytest.raises(DimensionError):
+                solve_soft_qp(qp, [-1.0], rhs=rhs)
+
     def test_iteration_cap(self):
         res = solve_soft_qp(scalar_qp(), [-1.0],
                             SolverOptions(max_iterations=1, polish=False))

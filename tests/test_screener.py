@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from campc.condenser import condense
 from campc.numqp import SoftQP, enumerate_oracle, solve_soft_qp
 from campc.screener import (
     EllipsoidBound,
@@ -15,6 +16,7 @@ from campc.screener import (
     trivial_solution,
 )
 from conftest import random_soft_qp, scalar_qp
+from test_condenser import _random_setup
 
 
 def _screen_pipeline(qp, z, v_tilde):
@@ -173,6 +175,36 @@ class TestScreen:
             tol = 1e-6 * (1.0 + np.abs(full.v_star).max())
             assert np.abs(red.v_star - full.v_star).max() <= tol
         assert removals > 0  # the test is vacuous if nothing was screened
+
+
+class TestCondensedRightHandSide:
+    def test_fallbacks_use_the_rollout(self):
+        # without rhs, each call on a CondensedQP forms c + Lz through
+        # cqp.bound: the results equal those given cqp.bound(z) exactly
+        rng = np.random.default_rng(36)
+        checked = 0
+        for _ in range(40):
+            cqp = condense(*_random_setup(rng))
+            if cqp.n_c == 0:
+                continue
+            z = rng.normal(size=cqp.n_z)
+            rhs = cqp.bound(z)
+            v_tilde = rng.normal(size=cqp.n_v)
+            eps_tilde = complete_slacks(v_tilde, cqp, z)
+            assert np.array_equal(
+                eps_tilde, complete_slacks(v_tilde, cqp, z, rhs=rhs))
+            bound = ellipsoid_bound(v_tilde, eps_tilde, cqp, z)
+            cache = precompute_row_norms(cqp)
+            kept = screen(cache, bound, z, eps_tilde)
+            assert np.array_equal(
+                kept.indices,
+                screen(cache, bound, z, eps_tilde, rhs=rhs).indices)
+            red = solve_soft_qp(reduce_qp(cqp, kept), z)
+            out = expand_solution(red, kept, cqp, z)
+            want = expand_solution(red, kept, cqp, z, rhs=rhs)
+            assert np.array_equal(out.eps_star, want.eps_star)
+            checked += 1
+        assert checked > 10
 
 
 class TestReduceAndExpand:
