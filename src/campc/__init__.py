@@ -21,7 +21,7 @@ from campc.condenser import (
 from campc.screener import (
     EllipsoidBound,
     KeptSet,
-    ScreenerCache,
+    Screener,
     complete_slacks,
     ellipsoid_bound,
     expand_solution,
@@ -35,7 +35,7 @@ __all__ = [
     "enumerate_oracle", "solve_soft_qp",
     "CondensedQP", "ConstraintBlock", "StateSpaceModel", "TrackingProblem",
     "assemble_z", "condense", "extract_input", "shift_warm_start",
-    "EllipsoidBound", "KeptSet", "ScreenerCache", "complete_slacks",
+    "EllipsoidBound", "KeptSet", "Screener", "complete_slacks",
     "ellipsoid_bound", "expand_solution", "precompute_row_norms",
     "reduce_qp", "screen",
 ]

@@ -98,6 +98,30 @@ def solver_options(section: dict | None) -> SolverOptions:
     return SolverOptions(**kwargs)
 
 
+SCENARIO_KEYS = {"mode": str, "steps": int, "timing_repeats": int}
+
+
+def scenario_options(section: dict | None) -> dict:
+    """Scenario keyword arguments from the `scenario` section; the mode
+    defaults to verify.  `_scenario` checks the values."""
+    section = dict(section or {})
+    unknown = sorted(set(section) - set(SCENARIO_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown scenario config keys: {unknown}")
+    try:
+        return {"mode": "verify", **{key: SCENARIO_KEYS[key](value)
+                                     for key, value in section.items()}}
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad scenario value: {exc}") from exc
+
+
+def _scenario(**kwargs) -> harness.Scenario:
+    try:
+        return harness.Scenario(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"bad scenario: {exc}") from exc
+
+
 def _print_report(report: harness.Report) -> None:
     print(f"steps:            {report.steps}")
     print(f"constraints:      {report.n_c}")
@@ -113,17 +137,17 @@ def cmd_bench(args) -> int:
     cfg_file = load_config(args.config) if args.config else {}
     cfg = thermal_config(cfg_file.get("thermal"))
     opts = solver_options(cfg_file.get("solver"))
-    scen_cfg = dict(cfg_file.get("scenario") or {})
-    mode = args.mode or scen_cfg.get("mode", "verify")
-    steps = args.steps or int(scen_cfg.get("steps", 60))
+    scen = scenario_options(cfg_file.get("scenario"))
+    if args.mode is not None:
+        scen["mode"] = args.mode
+    if args.steps is not None:
+        scen["steps"] = args.steps
 
     model, problem, cfg = thermal2d.build_thermal_benchmark(cfg)
-    scenario = harness.Scenario(
+    scenario = _scenario(
         model=model, problem=problem,
         references=lambda k: thermal2d.reference_window(cfg, k),
-        steps=steps, mode=mode, options=opts,
-        seed=int(scen_cfg.get("seed", 0)),
-        timing_repeats=int(scen_cfg.get("timing_repeats", 1)))
+        options=opts, **scen)
     return _run_scenario(scenario, args.out)
 
 
@@ -164,20 +188,15 @@ def cmd_run(args) -> int:
     path = Path(args.config).parent / mats["path"]
     model, problem, y_ref, x0, u_prev = _load_matrices(path)
     opts = solver_options(cfg_file.get("solver"))
-    scen_cfg = dict(cfg_file.get("scenario") or {})
-    steps = int(scen_cfg.get("steps", 60))
     N = problem.N
-    if len(y_ref) < steps + N:
-        raise ConfigError(
-            f"y_ref must cover steps+N = {steps + N} rows, has {len(y_ref)}")
-
-    scenario = harness.Scenario(
+    scenario = _scenario(
         model=model, problem=problem,
         references=lambda k: [y_ref[k + i] for i in range(1, N + 1)],
-        steps=steps, x0=x0, u_prev0=u_prev,
-        mode=scen_cfg.get("mode", "verify"), options=opts,
-        seed=int(scen_cfg.get("seed", 0)),
-        timing_repeats=int(scen_cfg.get("timing_repeats", 1)))
+        x0=x0, u_prev0=u_prev, options=opts,
+        **scenario_options(cfg_file.get("scenario")))
+    if len(y_ref) < scenario.steps + N:
+        raise ConfigError(f"y_ref must cover steps+N = {scenario.steps + N} "
+                          f"rows, has {len(y_ref)}")
     return _run_scenario(scenario, args.out)
 
 
@@ -218,7 +237,7 @@ def cmd_selftest(args) -> int:
     n_inst = args.instances
     solver_ok = sound_ok = member_ok = True
     for _ in range(n_inst):
-        qp, z = _random_softqp(rng)
+        qp, z = numqp.random_soft_qp(rng)
         full = numqp.solve_soft_qp(qp, z)
         oracle = numqp.enumerate_oracle(qp, z)
         tol = 1e-6 * (1.0 + np.abs(oracle.v_star).max())
@@ -239,25 +258,13 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if not failures else EXIT_FAIL
 
 
-def _random_softqp(rng, n_v_max=4, n_c_max=10):
-    n_v = int(rng.integers(1, n_v_max + 1))
-    n_c = int(rng.integers(1, n_c_max + 1))
-    n_z = int(rng.integers(1, 4))
-    M = rng.normal(size=(n_v, n_v))
-    qp = numqp.SoftQP(
-        H=M.T @ M + 0.1 * np.eye(n_v),
-        F=rng.normal(size=(n_v, n_z)),
-        W=rng.normal(size=(n_c, n_v)),
-        c=rng.normal(size=n_c),
-        L=rng.normal(size=(n_c, n_z)),
-        rho=rng.uniform(0.2, 3.0, size=n_c))
-    return qp, rng.normal(size=n_z)
-
-
 def cmd_sweep(args) -> int:
-    result = harness.screening_time_sweep(
-        n_c_values=tuple(args.n_c), n_v=args.n_v, repeats=args.repeats,
-        seed=args.seed)
+    try:
+        result = harness.screening_time_sweep(
+            n_c_values=tuple(args.n_c), n_v=args.n_v, repeats=args.repeats,
+            seed=args.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     for n_c, t in zip(result["n_c"], result["t_screen_s"]):
         print(f"n_c={n_c:6d}  t_screen={t * 1e6:9.1f} us")
     print(f"linear fit R^2 = {result['r_squared']:.4f}")

@@ -24,7 +24,13 @@ import numpy as np
 
 from campc import condenser, screener
 from campc.condenser import CondensedQP, StateSpaceModel, TrackingProblem
-from campc.numqp import OPTIMAL, SolverFailure, SolverOptions, solve_soft_qp
+from campc.numqp import (
+    OPTIMAL,
+    SoftQP,
+    SolverFailure,
+    SolverOptions,
+    solve_soft_qp,
+)
 
 MODES = ("full", "reduced", "verify")
 
@@ -44,7 +50,6 @@ class Scenario:
     u_prev0: np.ndarray = None
     mode: str = "reduced"
     options: SolverOptions = field(default_factory=SolverOptions)
-    seed: int = 0
     timing_repeats: int = 1   # best-of-R timing of the pure per-step work
 
     def __post_init__(self):
@@ -147,20 +152,6 @@ def run_closed_loop(scenario: Scenario) -> RunResult:
             v_uc = soft.unconstrained_minimizer(z)
             v_tilde = condenser.shift_warm_start(prev, cqp, z)
 
-            def screen_step():
-                # ellipsoid center q = (v~ + v_uc)/2 enters only through
-                # W q, so it is formed directly in constraint-row space
-                Wvt = soft.W @ v_tilde
-                Wvu = soft.W @ v_uc
-                eps_tilde = Wvt - rhs
-                np.maximum(eps_tilde, 0.0, out=eps_tilde)
-                Gd = soft.G @ (v_tilde - v_uc)
-                sigma = float(soft.rho @ eps_tilde + 0.25 * (Gd @ Gd))
-                Wvt += Wvu
-                Wvt *= 0.5
-                return screener._screen_core(cache, sigma, eps_tilde,
-                                             rhs, Wvt)
-
             def solve_step(kept):
                 red = screener.reduce_qp(cqp, kept)
                 return solve_soft_qp(red, z, scenario.options,
@@ -169,7 +160,8 @@ def run_closed_loop(scenario: Scenario) -> RunResult:
             # screen and solve are timed back to back within each repeat
             # so a load spike hits both measurements, not just one
             kept, res_red, trace.t_screen_s, trace.t_solve_s = _timed_pair(
-                screen_step, solve_step, repeats, clock)
+                lambda: cache.step(v_tilde, v_uc, rhs), solve_step, repeats,
+                clock)
             _require_optimal(res_red, k, traces)
             result = screener.expand_solution(res_red, kept, cqp, z, rhs=rhs)
             trace.n_kept = len(kept)
@@ -284,13 +276,17 @@ def _fmt(value):
 def screening_time_sweep(n_c_values=(500, 1000, 2000, 4000), n_v: int = 15,
                          n_z: int = 40, repeats: int = 50,
                          seed: int = 0) -> dict:
-    """Measure screening time against constraint count on random data.
+    """Measure `Screener.step` time against constraint count on random data.
 
     Returns the measured times plus slope/intercept and R^2 of a linear
-    fit, for checking that screening scales linearly in n_c.
+    fit, for checking that screening scales linearly in n_c.  Raises
+    ValueError for `repeats < 1` or fewer than two distinct sizes, where
+    the fit says nothing.
     """
-    from campc.numqp import SoftQP
-
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    if len(set(n_c_values)) < 2:
+        raise ValueError("the fit needs at least two distinct n_c values")
     rng = np.random.default_rng(seed)
     cases = []
     for n_c in n_c_values:
@@ -308,22 +304,14 @@ def screening_time_sweep(n_c_values=(500, 1000, 2000, 4000), n_v: int = 15,
         z = rng.normal(size=n_z)
         v_uc = qp.unconstrained_minimizer(z)
         v_tilde = v_uc + 0.1 * rng.normal(size=n_v)
-        cases.append((qp, cache, qp.bound(z), v_uc, v_tilde))
+        cases.append((cache, qp.bound(z), v_uc, v_tilde))
     # the sizes take turns within each repeat, so a burst of host load
     # slows every size alike instead of all repeats of one size
     times = [float("inf")] * len(cases)
     for _ in range(repeats):
-        for i, (qp, cache, rhs, v_uc, v_tilde) in enumerate(cases):
+        for i, (cache, rhs, v_uc, v_tilde) in enumerate(cases):
             t0 = time.perf_counter()
-            Wvt = qp.W @ v_tilde
-            Wvu = qp.W @ v_uc
-            eps_tilde = Wvt - rhs
-            np.maximum(eps_tilde, 0.0, out=eps_tilde)
-            Gd = qp.G @ (v_tilde - v_uc)
-            sigma = float(qp.rho @ eps_tilde + 0.25 * (Gd @ Gd))
-            Wvt += Wvu
-            Wvt *= 0.5
-            screener._screen_core(cache, sigma, eps_tilde, rhs, Wvt)
+            cache.step(v_tilde, v_uc, rhs)
             times[i] = min(times[i], time.perf_counter() - t0)
     x = np.asarray(n_c_values, dtype=float)
     y = np.asarray(times)

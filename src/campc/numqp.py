@@ -7,8 +7,9 @@ Problem form, for data (H, F, W, c, L, rho) and parameter vector z:
                 eps >= 0
 
 with H symmetric positive definite and rho elementwise positive.  The
-module provides the data container, an interior point solver, and a
-brute-force enumeration oracle for testing.
+module provides the data container, an interior point solver, a
+brute-force enumeration oracle for testing, and a random instance
+generator for property tests.
 """
 from __future__ import annotations
 
@@ -499,3 +500,21 @@ def _lstsq_or_nan(K, rhs):
         return np.linalg.lstsq(K, rhs, rcond=None)[0]
     except np.linalg.LinAlgError:
         return np.full(len(rhs), np.nan)
+
+
+def random_soft_qp(rng, n_v_max=4, n_c_max=10, n_z_max=3):
+    """Random well-conditioned soft QP plus a parameter vector."""
+    n_v = int(rng.integers(1, n_v_max + 1))
+    n_c = int(rng.integers(1, n_c_max + 1))
+    n_z = int(rng.integers(1, n_z_max + 1))
+    M = rng.normal(size=(n_v, n_v))
+    qp = SoftQP(
+        H=M.T @ M + 0.1 * np.eye(n_v),
+        F=rng.normal(size=(n_v, n_z)),
+        W=rng.normal(size=(n_c, n_v)),
+        c=rng.normal(size=n_c),
+        L=rng.normal(size=(n_c, n_z)),
+        rho=rng.uniform(0.2, 3.0, size=n_c),
+    )
+    z = rng.normal(size=n_z)
+    return qp, z

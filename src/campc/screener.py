@@ -13,13 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from campc.condenser import CondensedQP, Provenance
-from campc.numqp import (
-    OPTIMAL,
-    DimensionError,
-    SoftQP,
-    SolveResult,
-)
+from campc.condenser import CondensedQP
+from campc.numqp import DimensionError, SoftQP, SolveResult
 
 
 class EquivalenceViolation(RuntimeError):
@@ -28,26 +23,6 @@ class EquivalenceViolation(RuntimeError):
 
 def _softqp(qp) -> SoftQP:
     return qp.qp if isinstance(qp, CondensedQP) else qp
-
-
-def _provenance(qp) -> Provenance | None:
-    return qp.provenance if isinstance(qp, CondensedQP) else None
-
-
-@dataclass(frozen=True)
-class ScreenerCache:
-    """Per-row geometry precomputed offline: zeta_j = |W_j G^-1|_2.
-
-    `qp` is the problem as given, a SoftQP or a CondensedQP, so that
-    c + Lz is formed the way the problem forms it.  `zero_rows` marks
-    constraint rows with a zero normal (they need the sign of
-    c_j + L_j z instead of the ellipsoid test); it is None when no such
-    row exists, which keeps the hot screening path branch-free.
-    """
-
-    zeta: np.ndarray
-    qp: SoftQP | CondensedQP
-    zero_rows: np.ndarray = None
 
 
 @dataclass(frozen=True)
@@ -59,17 +34,10 @@ class EllipsoidBound:
     G: np.ndarray
 
     def contains(self, v: np.ndarray, rel_tol: float = 0.0) -> bool:
-        lhs = float(np.sum((self.G @ (np.asarray(v, float) - self.q)) ** 2))
-        return lhs <= self.sigma * (1.0 + rel_tol) + rel_tol
+        return self.radius_sq(v) <= self.sigma * (1.0 + rel_tol) + rel_tol
 
     def radius_sq(self, v: np.ndarray) -> float:
         return float(np.sum((self.G @ (np.asarray(v, float) - self.q)) ** 2))
-
-    def is_degenerate(self, qp, z: np.ndarray,
-                      rel: float = 1e-14) -> bool:
-        """Singleton ellipsoid: the candidate already solves the problem."""
-        Fz = _softqp(qp).F @ np.asarray(z, float).ravel()
-        return self.sigma <= rel * (1.0 + float(Fz @ Fz))
 
 
 @dataclass(frozen=True)
@@ -78,7 +46,6 @@ class KeptSet:
 
     indices: np.ndarray
     n_c: int
-    counts: dict = None  # rows kept per constraint kind, when known
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=int).ravel()
@@ -93,8 +60,68 @@ class KeptSet:
         return len(self.indices)
 
 
-def precompute_row_norms(qp) -> ScreenerCache:
-    """zeta_j = |W_j G^-1|_2 via one triangular solve per row."""
+@dataclass(frozen=True)
+class Screener:
+    """The per-step screen and its offline row norms zeta_j = |W_j G^-1|_2.
+
+    `qp` is the problem as given, a SoftQP or a CondensedQP, so that
+    c + Lz is formed the way the problem forms it.  `zero_rows` marks
+    constraint rows with a zero normal (they need the sign of
+    c_j + L_j z instead of the ellipsoid test); it is None when no such
+    row exists, which keeps the hot screening path branch-free.
+    """
+
+    zeta: np.ndarray
+    qp: SoftQP | CondensedQP
+    zero_rows: np.ndarray = None
+
+    def step(self, v_tilde: np.ndarray, v_uc: np.ndarray,
+             rhs: np.ndarray) -> KeptSet:
+        """Screen from candidate v~, unconstrained minimizer v_uc and
+        rhs = c + Lz.
+
+        Completes the slacks eps~ = max(0, Wv~ - rhs), forms
+        sigma = rho'eps~ + |G(v~ - v_uc)|^2 / 4 and applies the keep
+        rule of `screen`.  The ellipsoid center q = (v~ + v_uc)/2
+        enters only through W q, so it is formed in constraint-row
+        space.
+        """
+        soft = _softqp(self.qp)
+        Wvt = soft.W @ v_tilde
+        Wvu = soft.W @ v_uc
+        eps_tilde = Wvt - rhs
+        np.maximum(eps_tilde, 0.0, out=eps_tilde)
+        Gd = soft.G @ (v_tilde - v_uc)
+        sigma = float(soft.rho @ eps_tilde + 0.25 * (Gd @ Gd))
+        Wvt += Wvu
+        Wvt *= 0.5
+        return self._keep(sigma, eps_tilde, rhs, Wvt)
+
+    def _keep(self, sigma: float, eps_tilde, b, margin) -> KeptSet:
+        """Keep rule; overwrites `margin` (W q on entry) in place."""
+        rad = np.sqrt(max(sigma, 0.0))
+        # reach of the ellipsoid along W_j plus a small safety margin tau
+        tau = 1e-9 * (1.0 + np.abs(b).max(initial=0.0))
+        thresh = rad * self.zeta
+        thresh += tau
+        gap = np.subtract(b, margin, out=margin)
+        np.abs(gap, out=gap)
+        keep = thresh >= gap
+        keep |= eps_tilde > 0.0
+        if self.zero_rows is not None:
+            keep[self.zero_rows] = b[self.zero_rows] < 0.0
+        idx = np.flatnonzero(keep)
+        idx.setflags(write=False)
+        # indices are ascending and in range by construction
+        kept = object.__new__(KeptSet)
+        object.__setattr__(kept, "indices", idx)
+        object.__setattr__(kept, "n_c", self.qp.n_c)
+        return kept
+
+
+def precompute_row_norms(qp) -> Screener:
+    """The Screener of `qp`, with zeta_j = |W_j G^-1|_2 via one
+    triangular solve per row."""
     soft = _softqp(qp)
     if soft.n_c:
         Y = sla.solve_triangular(soft.G, soft.W.T, trans="T", lower=False)
@@ -102,8 +129,7 @@ def precompute_row_norms(qp) -> ScreenerCache:
     else:
         zeta = np.zeros(0)
     zero = zeta <= 0.0
-    return ScreenerCache(zeta=zeta, qp=qp,
-                         zero_rows=zero if zero.any() else None)
+    return Screener(zeta=zeta, qp=qp, zero_rows=zero if zero.any() else None)
 
 
 def complete_slacks(v_tilde: np.ndarray, qp, z: np.ndarray,
@@ -142,54 +168,20 @@ def ellipsoid_bound(v_tilde: np.ndarray, eps_tilde: np.ndarray, qp,
     return EllipsoidBound(q=q, sigma=sigma, G=soft.G)
 
 
-def screen(cache: ScreenerCache, bound: EllipsoidBound, z: np.ndarray,
+def screen(cache: Screener, bound: EllipsoidBound, z: np.ndarray,
            eps_tilde: np.ndarray,
-           rhs: np.ndarray | None = None,
-           Wq: np.ndarray | None = None) -> KeptSet:
+           rhs: np.ndarray | None = None) -> KeptSet:
     """Keep row j unless its half-space provably contains the ellipsoid.
 
     Row j is kept when sqrt(sigma)*zeta_j >= |c_j + L_j z - W_j q| with
     a small safety margin (non-strict rule: a tangent constraint is
     kept), or when the candidate violates it (eps~_j > 0).  Rows with a
-    zero normal are kept only if always violated.  `rhs` and `Wq` may
-    carry precomputed c + Lz and W q.
+    zero normal are kept only if always violated.  `rhs` may carry a
+    precomputed c + Lz.  `Screener.step` applies the same rule.
     """
     b = cache.qp.bound(z) if rhs is None else rhs
-    margin = _softqp(cache.qp).W @ bound.q if Wq is None else np.array(Wq)
-    return _screen_core(cache, bound.sigma, eps_tilde, b, margin)
-
-
-def _screen_core(cache: ScreenerCache, sigma: float, eps_tilde, b,
-                 margin) -> KeptSet:
-    """Hot screening path; overwrites `margin` in place."""
-    rad = np.sqrt(max(sigma, 0.0))
-    # reach of the ellipsoid along W_j plus a small safety margin tau
-    tau = 1e-9 * (1.0 + np.abs(b).max(initial=0.0))
-    thresh = rad * cache.zeta
-    thresh += tau
-    gap = np.subtract(b, margin, out=margin)
-    np.abs(gap, out=gap)
-    keep = thresh >= gap
-    keep |= eps_tilde > 0.0
-    if cache.zero_rows is not None:
-        keep[cache.zero_rows] = b[cache.zero_rows] < 0.0
-    idx = np.flatnonzero(keep)
-    idx.setflags(write=False)
-    kept = object.__new__(KeptSet)
-    object.__setattr__(kept, "indices", idx)
-    object.__setattr__(kept, "n_c", cache.qp.n_c)
-    object.__setattr__(kept, "counts", None)
-    return kept
-
-
-def with_counts(kept: KeptSet, qp: CondensedQP) -> KeptSet:
-    """Attach per-kind row counts from the provenance table."""
-    prov = _provenance(qp)
-    counts = None
-    if prov is not None:
-        kinds = prov.kind[kept.indices]
-        counts = {k: int(np.sum(kinds == k)) for k in np.unique(prov.kind)}
-    return KeptSet(indices=kept.indices, n_c=kept.n_c, counts=counts)
+    margin = _softqp(cache.qp).W @ bound.q
+    return cache._keep(bound.sigma, eps_tilde, b, margin)
 
 
 def reduce_qp(qp, kept: KeptSet) -> SoftQP:
@@ -213,10 +205,7 @@ def expand_solution(red: SolveResult, kept: KeptSet, qp, z: np.ndarray,
     """
     soft = _softqp(qp)
     v = np.asarray(red.v_star, dtype=float).ravel()
-    if rhs is None:
-        rhs = qp.bound(z)
-    res = soft.W @ v - rhs
-    eps = np.maximum(0.0, res)
+    eps = complete_slacks(v, qp, z, rhs=rhs)
     removed = np.ones(soft.n_c, dtype=bool)
     removed[kept.indices] = False
     if eps[removed].max(initial=0.0) > tol:
@@ -232,17 +221,3 @@ def expand_solution(red: SolveResult, kept: KeptSet, qp, z: np.ndarray,
         iterations=red.iterations,
         kkt_residual=red.kkt_residual,
     )
-
-
-def trivial_solution(bound: EllipsoidBound, v_tilde: np.ndarray, qp,
-                     z: np.ndarray) -> SolveResult | None:
-    """Degenerate-ellipsoid fast path: the candidate is already optimal."""
-    if not bound.is_degenerate(qp, z):
-        return None
-    soft = _softqp(qp)
-    v = np.asarray(v_tilde, dtype=float).ravel()
-    eps = np.maximum(0.0, soft.W @ v - qp.bound(z))
-    return SolveResult(v_star=v, eps_star=eps,
-                       objective=soft.objective(v, eps, z),
-                       status=OPTIMAL, iterations=0,
-                       kkt_residual=float(bound.sigma))

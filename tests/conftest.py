@@ -1,25 +1,6 @@
-import numpy as np
 import pytest
 
-from campc.numqp import SoftQP
-
-
-def random_soft_qp(rng, n_v_max=4, n_c_max=10, n_z_max=3):
-    """Random well-conditioned soft QP plus a parameter vector."""
-    n_v = int(rng.integers(1, n_v_max + 1))
-    n_c = int(rng.integers(1, n_c_max + 1))
-    n_z = int(rng.integers(1, n_z_max + 1))
-    M = rng.normal(size=(n_v, n_v))
-    qp = SoftQP(
-        H=M.T @ M + 0.1 * np.eye(n_v),
-        F=rng.normal(size=(n_v, n_z)),
-        W=rng.normal(size=(n_c, n_v)),
-        c=rng.normal(size=n_c),
-        L=rng.normal(size=(n_c, n_z)),
-        rho=rng.uniform(0.2, 3.0, size=n_c),
-    )
-    z = rng.normal(size=n_z)
-    return qp, z
+from campc.numqp import SoftQP, random_soft_qp  # noqa: F401, tests import it here
 
 
 def scalar_qp(c=0.5, rho=10.0):

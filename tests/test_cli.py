@@ -9,6 +9,7 @@ from campc.cli import (
     ConfigError,
     load_config,
     main,
+    scenario_options,
     solver_options,
     thermal_config,
 )
@@ -69,6 +70,18 @@ class TestConfigLoading:
         with pytest.raises(ConfigError):
             solver_options({"pivoting": "partial"})
 
+    def test_scenario_section(self):
+        assert scenario_options({"steps": "5", "timing_repeats": 3}) == {
+            "mode": "verify", "steps": 5, "timing_repeats": 3}
+
+    def test_unknown_scenario_key(self):
+        with pytest.raises(ConfigError):
+            scenario_options({"mdoe": "reduced"})
+
+    def test_bad_scenario_value(self):
+        with pytest.raises(ConfigError):
+            scenario_options({"steps": "many"})
+
 
 class TestMain:
     def test_selftest_passes(self, capsys):
@@ -80,6 +93,16 @@ class TestMain:
     def test_bad_config_exit_code(self, tmp_path):
         cfg = _write_yaml(tmp_path / "c.yaml",
                           {"thermal": {"bogus_key": 1}})
+        assert main(["bench", "thermal", "--config", cfg]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("scenario", [
+        {"mdoe": "reduced"}, {"mode": "turbo"}, {"steps": 0},
+        {"timing_repeats": None}])
+    def test_bad_scenario_exit_code(self, tmp_path, scenario):
+        cfg = _write_yaml(tmp_path / "c.yaml", {
+            "thermal": {"n": 6, "output_block": 2, "horizon": 3},
+            "scenario": scenario,
+        })
         assert main(["bench", "thermal", "--config", cfg]) == EXIT_CONFIG
 
     def test_bench_thermal_small(self, tmp_path, capsys):
@@ -112,6 +135,11 @@ class TestMain:
         assert "linear fit R^2" in text
         assert (out / "sweep_nc.csv").exists()
         assert code in (EXIT_OK, EXIT_FAIL)  # timing-dependent gate
+
+    @pytest.mark.parametrize("args", [
+        ["--repeats", "0"], ["--n-c", "500"], ["--n-c", "500", "500"]])
+    def test_sweep_nc_bad_arguments(self, args):
+        assert main(["sweep-nc", *args]) == EXIT_CONFIG
 
     def test_run_requires_matrices(self, tmp_path):
         cfg = _write_yaml(tmp_path / "c.yaml", {"scenario": {"steps": 3}})

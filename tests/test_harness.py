@@ -175,3 +175,12 @@ class TestScreeningSweep:
         assert all(t > 0 for t in out["t_screen_s"])
         assert out["slope"] > 0
         assert out["r_squared"] > 0.9
+
+    def test_rejects_no_repeats(self):
+        with pytest.raises(ValueError):
+            screening_time_sweep(n_c_values=(100, 200), repeats=0)
+
+    @pytest.mark.parametrize("sizes", [(500,), (500, 500)])
+    def test_rejects_fewer_than_two_sizes(self, sizes):
+        with pytest.raises(ValueError):
+            screening_time_sweep(n_c_values=sizes, repeats=2)

@@ -13,7 +13,6 @@ from campc.screener import (
     precompute_row_norms,
     reduce_qp,
     screen,
-    trivial_solution,
 )
 from conftest import random_soft_qp, scalar_qp
 from test_condenser import _random_setup
@@ -87,10 +86,6 @@ class TestEllipsoidBound:
         v_uc = qp.unconstrained_minimizer(z)
         bound = ellipsoid_bound(v_uc, np.zeros(1), qp, z)
         assert bound.sigma <= 1e-14
-        assert bound.is_degenerate(qp, z)
-        res = trivial_solution(bound, v_uc, qp, z)
-        assert res is not None
-        assert np.allclose(res.v_star, [1.0])
 
     def test_candidate_membership_identity(self):
         rng = np.random.default_rng(30)
@@ -175,6 +170,47 @@ class TestScreen:
             tol = 1e-6 * (1.0 + np.abs(full.v_star).max())
             assert np.abs(red.v_star - full.v_star).max() <= tol
         assert removals > 0  # the test is vacuous if nothing was screened
+
+
+class TestScreenerStep:
+    """`Screener.step`, the screen the closed loop and the sweep run."""
+
+    def test_matches_reference_api(self):
+        # arbitrary candidates, frequently infeasible, so eps~ > 0 and
+        # the rho'eps~ term of sigma are exercised
+        rng = np.random.default_rng(100)
+        for _ in range(2000):
+            qp, z = random_soft_qp(rng)
+            v_tilde = rng.normal(scale=2.0, size=qp.n_v)
+            cache = precompute_row_norms(qp)
+            _, _, want = _screen_pipeline(qp, z, v_tilde)
+            got = cache.step(v_tilde, qp.unconstrained_minimizer(z),
+                             qp.bound(z))
+            assert np.array_equal(got.indices, want.indices)
+            assert got.n_c == qp.n_c
+
+    def test_is_sound(self):
+        rng = np.random.default_rng(37)
+        removals = 0
+        for _ in range(300):
+            qp, z = random_soft_qp(rng)
+            v_tilde = rng.normal(scale=1.5, size=qp.n_v)
+            kept = precompute_row_norms(qp).step(
+                v_tilde, qp.unconstrained_minimizer(z), qp.bound(z))
+            removals += qp.n_c - len(kept)
+            full = enumerate_oracle(qp, z)
+            red = enumerate_oracle(reduce_qp(qp, kept), z)
+            tol = 1e-6 * (1.0 + np.abs(full.v_star).max())
+            assert np.abs(red.v_star - full.v_star).max() <= tol
+        assert removals > 0
+
+    def test_zero_normal_rows(self):
+        qp = SoftQP(H=[[2.0]], F=[[2.0]], W=[[0.0], [0.0]], c=[1.0, -1.0],
+                    L=np.zeros((2, 1)), rho=[1.0, 1.0])
+        z = np.array([-1.0])
+        kept = precompute_row_norms(qp).step(
+            np.zeros(1), qp.unconstrained_minimizer(z), qp.bound(z))
+        assert list(kept.indices) == [1]
 
 
 class TestCondensedRightHandSide:
