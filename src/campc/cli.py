@@ -57,27 +57,37 @@ def _gaussian_spec(entry, default) -> thermal2d.GaussianSpec:
         raise ConfigError(f"bad Gaussian spec {entry!r}: {exc}") from exc
 
 
+SCENARIO_KEYS = {"mode": str, "steps": int, "timing_repeats": int}
+
+
+def _section_options(section, name: str, converters: dict) -> dict:
+    """Keyword arguments from one config section, each value passed
+    through its key's converter; a missing section is empty."""
+    section = {} if section is None else section
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} section must be a mapping, "
+                          f"got {type(section).__name__}")
+    unknown = sorted(set(section) - set(converters))
+    if unknown:
+        raise ConfigError(f"unknown {name} config keys: {unknown}")
+    try:
+        return {key: converters[key](value) for key, value in section.items()}
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {name} value: {exc}") from exc
+
+
 def thermal_config(section: dict | None) -> thermal2d.ThermalConfig:
-    section = dict(section or {})
-    kwargs = {}
-    for key in ("n", "horizon", "ref_ramp_steps", "output_block"):
-        if key in section:
-            kwargs[key] = int(section.pop(key))
-    for key in ("alpha", "beta", "reaction_sign", "boundary_sign", "dt",
-                "q_scale", "r_scale", "rho_scale", "ref_target"):
-        if key in section:
-            kwargs[key] = float(section.pop(key))
-    if "output_nodes" in section:
-        kwargs["output_nodes"] = tuple(int(j) for j in section.pop("output_nodes"))
-    if "loads" in section:
-        entries = section.pop("loads")
-        kwargs["loads"] = tuple(
-            _gaussian_spec(e, thermal2d.GaussianSpec()) for e in entries)
-    if "bound" in section:
-        kwargs["bound"] = _gaussian_spec(section.pop("bound"),
-                                         thermal2d._DEFAULT_BOUND)
-    if section:
-        raise ConfigError(f"unknown thermal config keys: {sorted(section)}")
+    kwargs = _section_options(section, "thermal", {
+        **dict.fromkeys(("n", "horizon", "ref_ramp_steps", "output_block"),
+                        int),
+        **dict.fromkeys(("alpha", "beta", "reaction_sign", "boundary_sign",
+                         "dt", "q_scale", "r_scale", "rho_scale",
+                         "ref_target"), float),
+        "output_nodes": lambda nodes: tuple(int(j) for j in nodes),
+        "loads": lambda entries: tuple(
+            _gaussian_spec(e, thermal2d.GaussianSpec()) for e in entries),
+        "bound": lambda entry: _gaussian_spec(entry, thermal2d._DEFAULT_BOUND),
+    })
     try:
         return thermal2d.ThermalConfig(**kwargs)
     except ValueError as exc:
@@ -85,34 +95,19 @@ def thermal_config(section: dict | None) -> thermal2d.ThermalConfig:
 
 
 def solver_options(section: dict | None) -> SolverOptions:
-    section = dict(section or {})
-    kwargs = {}
-    if "tol" in section:
-        kwargs["tol"] = float(section.pop("tol"))
-    if "max_iterations" in section:
-        kwargs["max_iterations"] = int(section.pop("max_iterations"))
-    if "fraction_to_boundary" in section:
-        kwargs["fraction_to_boundary"] = float(section.pop("fraction_to_boundary"))
-    if section:
-        raise ConfigError(f"unknown solver config keys: {sorted(section)}")
-    return SolverOptions(**kwargs)
-
-
-SCENARIO_KEYS = {"mode": str, "steps": int, "timing_repeats": int}
+    kwargs = _section_options(section, "solver", {
+        "tol": float, "max_iterations": int, "fraction_to_boundary": float})
+    try:
+        return SolverOptions(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"bad solver option: {exc}") from exc
 
 
 def scenario_options(section: dict | None) -> dict:
     """Scenario keyword arguments from the `scenario` section; the mode
     defaults to verify.  `_scenario` checks the values."""
-    section = dict(section or {})
-    unknown = sorted(set(section) - set(SCENARIO_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown scenario config keys: {unknown}")
-    try:
-        return {"mode": "verify", **{key: SCENARIO_KEYS[key](value)
-                                     for key, value in section.items()}}
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad scenario value: {exc}") from exc
+    return {"mode": "verify",
+            **_section_options(section, "scenario", SCENARIO_KEYS)}
 
 
 def _scenario(**kwargs) -> harness.Scenario:
@@ -143,7 +138,11 @@ def cmd_bench(args) -> int:
     if args.steps is not None:
         scen["steps"] = args.steps
 
-    model, problem, cfg = thermal2d.build_thermal_benchmark(cfg)
+    try:
+        model, problem, cfg = thermal2d.build_thermal_benchmark(cfg)
+    except (ValueError, FloatingPointError) as exc:
+        # the build reads nothing but the config, e.g. a NaN alpha or peak
+        raise ConfigError(f"bad thermal config: {exc}") from exc
     scenario = _scenario(
         model=model, problem=problem,
         references=lambda k: thermal2d.reference_window(cfg, k),
@@ -160,8 +159,6 @@ def _load_matrices(path) -> tuple:
     missing = need - set(data.files)
     if missing:
         raise ConfigError(f"matrix container missing keys: {sorted(missing)}")
-    model = StateSpaceModel(A=data["A"], B=data["B"], C=data["C"],
-                            D=data["D"] if "D" in data.files else None)
 
     def block(prefix):
         if f"M_{prefix}" not in data.files:
@@ -169,21 +166,29 @@ def _load_matrices(path) -> tuple:
         return ConstraintBlock(M=data[f"M_{prefix}"], g=data[f"g_{prefix}"],
                                rho=data[f"rho_{prefix}"])
 
-    problem = TrackingProblem(
-        Q=data["Q"], R=data["R"], N=int(data["N"]),
-        state_constraints=block("x"),
-        input_constraints=block("u"),
-        rate_constraints=block("d"))
+    try:
+        model = StateSpaceModel(A=data["A"], B=data["B"], C=data["C"],
+                                D=data["D"] if "D" in data.files else None)
+        problem = TrackingProblem(
+            Q=data["Q"], R=data["R"], N=int(data["N"]),
+            state_constraints=block("x"),
+            input_constraints=block("u"),
+            rate_constraints=block("d"))
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"bad matrices in {path}: {exc}") from exc
     y_ref = np.atleast_2d(np.asarray(data["y_ref"], dtype=float))
     x0 = data["x0"] if "x0" in data.files else None
     u_prev = data["u_prev"] if "u_prev" in data.files else None
+    for name, val in (("y_ref", y_ref), ("x0", x0), ("u_prev", u_prev)):
+        if val is not None and not np.isfinite(val).all():
+            raise ConfigError(f"{name} in {path} holds NaN or inf")
     return model, problem, y_ref, x0, u_prev
 
 
 def cmd_run(args) -> int:
     cfg_file = load_config(args.config)
     mats = cfg_file.get("matrices")
-    if not mats or "path" not in mats:
+    if not isinstance(mats, dict) or not isinstance(mats.get("path"), str):
         raise ConfigError("`run` needs matrices: {path: file.npz} in the config")
     path = Path(args.config).parent / mats["path"]
     model, problem, y_ref, x0, u_prev = _load_matrices(path)

@@ -6,6 +6,11 @@ eliminated through the dynamics and inputs through the incremental
 parameterization u_i = u_{i-1} + du_i, leaving the stacked increment
 sequence v = [du_0, ..., du_{N-1}] as the only decision variable.  The
 parameter vector is z = [x; u_prev; y_ref_1; ...; y_ref_N].
+
+Constraint rows read the predicted signal s_i = [x_i; u_{i-1}; du_{i-1}],
+an affine map of (z, v) from one recursion over the dynamics; a single
+sparse row selection K over s gives W, L, c, rho and the provenance in
+`condense`, and the per-step c + Lz = c - K s(z, 0) in `CondensedQP.bound`.
 """
 from __future__ import annotations
 
@@ -14,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from campc.numqp import DimensionError, SoftQP, SolveResult, _as_matrix, _as_vector
+from campc.numqp import (DimensionError, SoftQP, SolveResult, _as_matrix,
+                         _as_vector, _require_finite)
 
 KIND_STATE = "state"
 KIND_INPUT = "input"
@@ -42,6 +48,7 @@ class StateSpaceModel:
         D = np.asarray(D, dtype=float).reshape(C.shape[0], B.shape[1])
         if A.shape[0] != A.shape[1]:
             raise DimensionError(f"A must be square, got {A.shape}")
+        _require_finite(A=A, B=B, C=C, D=D)
         if np.any(D != 0.0):
             raise ValueError("direct feedthrough D must be zero")
         for name, val in (("A", A), ("B", B), ("C", C), ("D", D)):
@@ -77,6 +84,7 @@ class ConstraintBlock:
             rho = np.full(len(g), float(rho))
         if M.shape[0] != len(g) or len(rho) != len(g):
             raise DimensionError("constraint block rows inconsistent")
+        _require_finite(M=M, g=g, rho=rho)
         if len(rho) and rho.min() <= 0.0:
             raise ValueError("slack penalties must be positive")
         for name, val in (("M", M), ("g", g), ("rho", rho)):
@@ -113,6 +121,7 @@ class TrackingProblem:
             raise ValueError("horizon N must be >= 1")
         Q = _as_matrix(self.Q, "Q")
         R = _as_matrix(self.R, "R")
+        _require_finite(Q=Q, R=R)
         for name, val in (("Q", Q), ("R", R)):
             val.setflags(write=False)
             object.__setattr__(self, name, val)
@@ -164,11 +173,10 @@ class CondensedQP:
     model: StateSpaceModel
     layout: ZLayout
     provenance: Provenance
-    # z-only cost constant: const(z) = z' K2 z (dropped from the QP)
+    # z-only cost constant z' _const_quad z (dropped from the QP)
     _const_quad: np.ndarray = None
-    # constraint rows over w = [u_prev; x_1; ...; x_N] of the rollout
-    # with u_prev held, so that c + Lz = c - _rollout_rows @ w
-    _rollout_rows: sparse.csr_matrix = None
+    # K: the constraint rows over the predicted signal s = [s_1; ...; s_N]
+    _K: sparse.csr_matrix = None
 
     @property
     def n_v(self) -> int:
@@ -193,28 +201,29 @@ class CondensedQP:
     def bound(self, z: np.ndarray) -> np.ndarray:
         """Constraint right-hand side c + Lz, without reading L.
 
-        Rolls the model N steps from x with u_prev held,
-        x_i = A x_{i-1} + B u_prev, and returns per block, in the
-        condensed row order: g - M x_i for state rows, g - M u_prev for
-        input rows and g for rate rows.  Equals `self.qp.bound(z)` up to
-        rounding.  Cost: N n_x^2 for the rollout plus N nnz(M) for the
-        sparse constraint blocks, against n_c n_z for the dense product;
-        a dense state M therefore makes it costlier than `qp.bound`.
+        At v = 0 the predicted signal is s_i = [x_i; u_prev; 0], where
+        x_i = A x_{i-1} + B u_prev rolls the model N steps from x, and
+        c + Lz = c - K s.  Equals `self.qp.bound(z)` up to rounding.
+        Cost: N n_x^2 for the rollout, skipped without state rows, plus
+        nnz(K) = N nnz(M) for the selection, against n_c n_z for the
+        dense product; a dense state M therefore makes it costlier than
+        `qp.bound`.
         """
         z = self.qp._check_z(z)
         lay = self.layout
         u_prev = z[lay.u_prev_offset:lay.y_ref_offset]
-        w = np.empty(self._rollout_rows.shape[1])
-        w[:lay.n_u] = u_prev
-        A = self.model.A
-        Bu = self.model.B @ u_prev
-        x = z[lay.x_offset:lay.u_prev_offset]
-        # no state rows: w holds u_prev only and the rollout is skipped
-        for x_next in w[lay.n_u:].reshape(-1, lay.n_x):
-            np.dot(A, x, out=x_next)
-            x_next += Bu
-            x = x_next
-        return self.qp.c - self._rollout_rows @ w
+        s = np.zeros((lay.N, lay.n_x + 2 * lay.n_u))
+        s[:, lay.n_x:lay.y_ref_offset] = u_prev
+        # each step's rows start with its state rows
+        if self.n_c and self.provenance.kind[0] == KIND_STATE:
+            A = self.model.A
+            Bu = self.model.B @ u_prev
+            x = z[lay.x_offset:lay.u_prev_offset]
+            for x_next in s[:, :lay.n_x]:
+                np.dot(A, x, out=x_next)
+                x_next += Bu
+                x = x_next
+        return self.qp.c - self._K @ s.ravel()
 
     def cost_constant(self, z: np.ndarray) -> float:
         """z-dependent constant dropped from the condensed objective."""
@@ -225,9 +234,15 @@ class CondensedQP:
 def condense(model: StateSpaceModel, prob: TrackingProblem) -> CondensedQP:
     """Eliminate states and inputs, returning the condensed SoftQP.
 
-    Constraint rows are ordered per prediction step: state rows at step
-    i, then input rows at step i-1, then rate rows at i-1, for
-    i = 1..N.
+    One recursion, x_i = A x_{i-1} + B u_{i-1} with
+    u_{i-1} = u_{i-2} + du_{i-1}, gives the predicted signal
+    s_i = [x_i; u_{i-1}; du_{i-1}] = P_i z + V_i v for i = 1..N; only
+    the [x; u_prev] columns of P are nonzero.  The constraint rows are
+    K s with K = kron(I_N, blkdiag(M_state, M_input, M_rate)), so
+    W = K V, L = -K P, and c, rho and the provenance repeat the blocks'
+    g, rho and rows per step.  Rows are thus ordered per prediction
+    step: state rows at step i, then input rows at step i-1, then rate
+    rows at i-1, for i = 1..N.
     """
     A, B, C = model.A, model.B, model.C
     n_x, n_u, n_y = model.n_x, model.n_u, model.n_y
@@ -237,116 +252,58 @@ def condense(model: StateSpaceModel, prob: TrackingProblem) -> CondensedQP:
         raise DimensionError(f"Q must be {n_y}x{n_y}, got {Q.shape}")
     if R.shape != (n_u, n_u):
         raise DimensionError(f"R must be {n_u}x{n_u}, got {R.shape}")
-    sc = prob.state_constraints or _empty_block(n_x)
-    ic = prob.input_constraints or _empty_block(n_u)
-    rc = prob.rate_constraints or _empty_block(n_u)
-    if sc.M.shape[1] != n_x or ic.M.shape[1] != n_u or rc.M.shape[1] != n_u:
+    blocks = (prob.state_constraints or _empty_block(n_x),
+              prob.input_constraints or _empty_block(n_u),
+              prob.rate_constraints or _empty_block(n_u))
+    if [b.M.shape[1] for b in blocks] != [n_x, n_u, n_u]:
         raise DimensionError("constraint block column counts inconsistent")
 
     layout = ZLayout(n_x, n_u, n_y, N)
-    n_v = N * n_u
-    n_z = layout.n_z
+    n_v, n_z = N * n_u, layout.n_z
+    n_xu = layout.y_ref_offset
 
-    # x_i = A^i x + Gam[i] u_prev + Theta[i] v, where the coefficient of
-    # du_l in x_i is Gam[i-l]; Gam[i] = sum_{j<i} A^j B.
-    powA = [np.eye(n_x)]
-    for _ in range(N):
-        powA.append(A @ powA[-1])
-    Gam = [np.zeros((n_x, n_u))]
-    for i in range(N):
-        Gam.append(Gam[-1] + powA[i] @ B)
-    Theta = []
-    for i in range(1, N + 1):
-        Ti = np.zeros((n_x, n_v))
-        for l in range(i):
-            Ti[:, l * n_u:(l + 1) * n_u] = Gam[i - l]
-        Theta.append(Ti)
-
+    # S[i-1] = [P_i[:, :n_xu], V_i]: s_i over the columns [x; u_prev; v]
+    S = np.zeros((N, n_x + 2 * n_u, n_xu + n_v))
+    x = np.eye(n_x, n_xu + n_v)         # x_0 = x
+    u = np.eye(n_u, n_xu + n_v, n_x)    # u_{-1} = u_prev
     # cost: sum_i |C x_i - y_ref_i|_Q^2 + |du_{i-1}|_R^2
     H = 2.0 * np.kron(np.eye(N), R)
     F = np.zeros((n_v, n_z))
     const_quad = np.zeros((n_z, n_z))
-    yo = layout.y_ref_offset
     for i in range(1, N + 1):
-        CT = C @ Theta[i - 1]
+        s_x, s_u, s_du = S[i - 1, :n_x], S[i - 1, n_x:n_xu], S[i - 1, n_xu:]
+        s_du[:, n_xu + (i - 1) * n_u:n_xu + i * n_u] = np.eye(n_u)
+        np.add(u, s_du, out=s_u)
+        s_x[:] = A @ x + B @ s_u
+        x, u = s_x, s_u
+        CX = C @ x
+        CT = CX[:, n_xu:]
         # z-coefficient of the output error C x_i - y_ref_i
         Ez = np.zeros((n_y, n_z))
-        Ez[:, :n_x] = C @ powA[i]
-        Ez[:, n_x:n_x + n_u] = C @ Gam[i]
-        Ez[:, yo + (i - 1) * n_y:yo + i * n_y] = -np.eye(n_y)
+        Ez[:, :n_xu] = CX[:, :n_xu]
+        Ez[:, n_xu + (i - 1) * n_y:n_xu + i * n_y] = -np.eye(n_y)
         H += 2.0 * CT.T @ Q @ CT
         F += 2.0 * CT.T @ Q @ Ez
         const_quad += Ez.T @ Q @ Ez
 
-    # constraints, per-step ordering: state(i), input(i-1), rate(i-1)
-    n_c = N * (sc.rows + ic.rows + rc.rows)
-    W = np.zeros((n_c, n_v))
-    c = np.zeros(n_c)
-    Lmat = np.zeros((n_c, n_z))
-    rho = np.zeros(n_c)
-    kinds, steps, rows = [], [], []
-    # (block, row offset, column offset) in the rollout map, whose
-    # columns are [u_prev; x_1; ...; x_N], or [u_prev] without state rows
-    placed = []
-    Ms, Mi = sparse.coo_matrix(sc.M), sparse.coo_matrix(ic.M)
-    r = 0
-    for i in range(1, N + 1):
-        if sc.rows:
-            sl = slice(r, r + sc.rows)
-            W[sl] = sc.M @ Theta[i - 1]
-            c[sl] = sc.g
-            Lmat[sl, :n_x] = -sc.M @ powA[i]
-            Lmat[sl, n_x:n_x + n_u] = -sc.M @ Gam[i]
-            placed.append((Ms, r, n_u + (i - 1) * n_x))
-            rho[sl] = sc.rho
-            kinds += [KIND_STATE] * sc.rows
-            steps += [i] * sc.rows
-            rows += list(range(sc.rows))
-            r += sc.rows
-        if ic.rows:
-            sl = slice(r, r + ic.rows)
-            # u_{i-1} = u_prev + du_0 + ... + du_{i-1}
-            Su = np.zeros((n_u, n_v))
-            for l in range(i):
-                Su[:, l * n_u:(l + 1) * n_u] = np.eye(n_u)
-            W[sl] = ic.M @ Su
-            c[sl] = ic.g
-            Lmat[sl, n_x:n_x + n_u] = -ic.M
-            placed.append((Mi, r, 0))
-            rho[sl] = ic.rho
-            kinds += [KIND_INPUT] * ic.rows
-            steps += [i - 1] * ic.rows
-            rows += list(range(ic.rows))
-            r += ic.rows
-        if rc.rows:
-            sl = slice(r, r + rc.rows)
-            Sd = np.zeros((n_u, n_v))
-            Sd[:, (i - 1) * n_u:i * n_u] = np.eye(n_u)
-            W[sl] = rc.M @ Sd
-            c[sl] = rc.g
-            rho[sl] = rc.rho
-            kinds += [KIND_RATE] * rc.rows
-            steps += [i - 1] * rc.rows
-            rows += list(range(rc.rows))
-            r += rc.rows
-
-    qp = SoftQP(H=H, F=F, W=W, c=c, L=Lmat, rho=rho)
-    prov = Provenance(np.array(kinds), np.array(steps, dtype=int),
-                      np.array(rows, dtype=int))
-    n_w = n_u + (N * n_x if sc.rows else 0)
-    rollout_rows = _place_blocks(placed, (n_c, n_w))
+    # coo_matrix keeps only the nonzeros of each dense M
+    M = sparse.block_diag([sparse.coo_matrix(b.M) for b in blocks])
+    K = sparse.kron(sparse.identity(N), M, format="csr")
+    KS = K @ S.reshape(N * S.shape[1], -1)
+    Lmat = np.zeros((K.shape[0], n_z))
+    Lmat[:, :n_xu] = -KS[:, :n_xu]
+    # W contiguous, so the per-step W products run on the fast BLAS path
+    qp = SoftQP(H=H, F=F, W=np.ascontiguousarray(KS[:, n_xu:]),
+                c=np.tile(np.concatenate([b.g for b in blocks]), N), L=Lmat,
+                rho=np.tile(np.concatenate([b.rho for b in blocks]), N))
+    kind = np.repeat([KIND_STATE, KIND_INPUT, KIND_RATE],
+                     [b.rows for b in blocks])
+    # state rows belong to step i, input and rate rows to step i-1
+    step = np.repeat(np.arange(N), len(kind)) + np.tile(kind == KIND_STATE, N)
+    row = np.concatenate([np.arange(b.rows) for b in blocks])
+    prov = Provenance(np.tile(kind, N), step, np.tile(row, N))
     return CondensedQP(qp=qp, model=model, layout=layout, provenance=prov,
-                       _const_quad=const_quad, _rollout_rows=rollout_rows)
-
-
-def _place_blocks(placed, shape) -> sparse.csr_matrix:
-    """CSR matrix holding each COO block at its (row, column) offset."""
-    data = [np.zeros(0)] + [b.data for b, _, _ in placed]
-    row = [np.zeros(0, int)] + [b.row + r for b, r, _ in placed]
-    col = [np.zeros(0, int)] + [b.col + c for b, _, c in placed]
-    return sparse.csr_matrix(
-        (np.concatenate(data), (np.concatenate(row), np.concatenate(col))),
-        shape=shape)
+                       _const_quad=const_quad, _K=K)
 
 
 def assemble_z(x: np.ndarray, u_prev: np.ndarray, y_refs,

@@ -52,6 +52,13 @@ def _as_vector(v, name):
     return v
 
 
+def _require_finite(**arrays):
+    """Raise ValueError naming the first array that holds NaN or inf."""
+    for name, val in arrays.items():
+        if not np.isfinite(val).all():
+            raise ValueError(f"{name} holds NaN or inf")
+
+
 def cholesky_factor(H: np.ndarray) -> np.ndarray:
     """Upper-triangular G with H = G'G.
 
@@ -101,6 +108,10 @@ class SoftQP:
                 f"rho has {len(rho)} entries, expected {len(c)}")
         if len(rho) and rho.min() <= 0.0:
             raise ValueError("all slack penalties rho must be positive")
+        if self.G is None:
+            # a supplied G comes from a checked problem (`reduce_qp`), so
+            # the per-step reduced QP skips this pass over its data
+            _require_finite(H=H, F=F, W=W, c=c, L=L, rho=rho)
         G = self.G if self.G is not None else cholesky_factor(H)
         for name, val in (("H", H), ("F", F), ("W", W), ("c", c),
                           ("L", L), ("rho", rho), ("G", np.asarray(G))):
@@ -148,6 +159,18 @@ class SolverOptions:
     eps_shift: float = 1e-10
     # active-set refinement after convergence
     polish: bool = True
+
+    def __post_init__(self):
+        if not self.tol > 0.0:
+            raise ValueError(f"tol must be > 0, got {self.tol}")
+        if not self.max_iterations >= 1:
+            raise ValueError(
+                f"max_iterations must be >= 1, got {self.max_iterations}")
+        if not 0.0 < self.fraction_to_boundary < 1.0:
+            raise ValueError("fraction_to_boundary must lie in (0, 1), "
+                             f"got {self.fraction_to_boundary}")
+        if not self.eps_shift >= 0.0:
+            raise ValueError(f"eps_shift must be >= 0, got {self.eps_shift}")
 
 
 @dataclass(frozen=True)

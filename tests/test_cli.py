@@ -105,6 +105,18 @@ class TestMain:
         })
         assert main(["bench", "thermal", "--config", cfg]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("section", [
+        {"solver": {"tol": "abc"}}, {"thermal": {"n": "abc"}},
+        {"thermal": [1, 2]}, {"solver": "tight"}, {"scenario": [5]},
+        {"solver": {"tol": -1}}, {"solver": {"max_iterations": 0}},
+        {"solver": {"fraction_to_boundary": 1.5}},
+        {"thermal": {"alpha": float("nan")}},
+        {"thermal": {"bound": {"peak": float("inf")}}}])
+    def test_bad_config_value_exit_code(self, tmp_path, section):
+        cfg = _write_yaml(tmp_path / "c.yaml", {
+            "thermal": {"n": 6, "output_block": 2, "horizon": 3}, **section})
+        assert main(["bench", "thermal", "--config", cfg]) == EXIT_CONFIG
+
     def test_bench_thermal_small(self, tmp_path, capsys):
         cfg = _write_yaml(tmp_path / "c.yaml", {
             "thermal": {"n": 6, "output_block": 2, "horizon": 3},
@@ -143,6 +155,22 @@ class TestMain:
 
     def test_run_requires_matrices(self, tmp_path):
         cfg = _write_yaml(tmp_path / "c.yaml", {"scenario": {"steps": 3}})
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+
+    def test_run_matrices_given_as_string(self, tmp_path):
+        cfg = _write_yaml(tmp_path / "c.yaml", {
+            "matrices": "plant_path.npz", "scenario": {"steps": 3}})
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("bad", ["A", "y_ref", "x0"])
+    def test_run_rejects_non_finite_matrices(self, tmp_path, bad):
+        data = dict(A=np.eye(1) * 0.5, B=np.eye(1), C=np.eye(1),
+                    Q=np.eye(1), R=np.eye(1), N=2, y_ref=np.ones((5, 1)),
+                    x0=np.zeros(1))
+        data[bad] = np.full_like(data[bad], np.nan)
+        np.savez(tmp_path / "m.npz", **data)
+        cfg = _write_yaml(tmp_path / "c.yaml", {
+            "matrices": {"path": "m.npz"}, "scenario": {"steps": 3}})
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
 
     def test_run_from_npz(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -42,8 +44,34 @@ def _random_setup(rng, with_constraints=True):
     return model, prob
 
 
-def _rollout(model, prob, z, v):
-    """Simulate the prediction and evaluate cost/constraints directly."""
+def _setups_over_block_patterns(rng, per_pattern=6):
+    """Random setups for every pattern of empty and non-empty state,
+    input and rate blocks, n_c = 0 included; an empty block is either
+    absent or has zero rows."""
+    for present in itertools.product((False, True), repeat=3):
+        for k in range(per_pattern):
+            model, prob = _random_setup(rng, with_constraints=False)
+            keys = ("state_constraints", "input_constraints",
+                    "rate_constraints")
+            dims = (model.n_x, model.n_u, model.n_u)
+            blocks = {}
+            for key, dim, on in zip(keys, dims, present):
+                rows = int(rng.integers(1, 3)) if on else 0
+                if on or k % 2:
+                    blocks[key] = ConstraintBlock(
+                        M=rng.normal(size=(rows, dim)),
+                        g=rng.normal(size=rows),
+                        rho=rng.uniform(0.5, 2.0, size=rows))
+            yield model, TrackingProblem(Q=prob.Q, R=prob.R, N=prob.N,
+                                         **blocks)
+
+
+def _rollout(model, prob, z, v, labels=None):
+    """Simulate the prediction and evaluate cost/constraints directly.
+
+    When given a list, `labels` receives the (kind, step, row) of each
+    constraint value, in the order they are returned.
+    """
     n_x, n_u, n_y = model.n_x, model.n_u, model.n_y
     N = prob.N
     x = z[:n_x]
@@ -51,20 +79,20 @@ def _rollout(model, prob, z, v):
     refs = z[n_x + n_u:].reshape(N, n_y)
     cost = 0.0
     cons = []
-    sc, ic, rc = (prob.state_constraints, prob.input_constraints,
-                  prob.rate_constraints)
     for i in range(N):
         du = v[i * n_u:(i + 1) * n_u]
         u = u + du
         x = model.A @ x + model.B @ u
         err = model.C @ x - refs[i]
         cost += err @ prob.Q @ err + du @ prob.R @ du
-        if sc is not None:
-            cons.extend(sc.M @ x - sc.g)
-        if ic is not None:
-            cons.extend(ic.M @ u - ic.g)
-        if rc is not None:
-            cons.extend(rc.M @ du - rc.g)
+        for kind, step, blk, val in (
+                (KIND_STATE, i + 1, prob.state_constraints, x),
+                (KIND_INPUT, i, prob.input_constraints, u),
+                (KIND_RATE, i, prob.rate_constraints, du)):
+            if blk is not None:
+                cons.extend(blk.M @ val - blk.g)
+                if labels is not None:
+                    labels.extend((kind, step, j) for j in range(blk.rows))
     return cost, np.array(cons)
 
 
@@ -118,18 +146,18 @@ class TestCondenseAgainstRollout:
             assert abs(got - want) <= 1e-9 * (1 + abs(want))
 
     def test_constraints_match(self):
+        # both right-hand sides: dense c + Lz and the rollout through K
         rng = np.random.default_rng(8)
-        for _ in range(40):
-            model, prob = _random_setup(rng)
+        for model, prob in _setups_over_block_patterns(rng):
             cqp = condense(model, prob)
-            if cqp.n_c == 0:
-                continue
             z = rng.normal(size=cqp.n_z)
             v = rng.normal(size=cqp.n_v)
             _, want = _rollout(model, prob, z, v)
-            got = cqp.qp.W @ v - cqp.qp.bound(z)
-            assert np.abs(got - want).max() <= 1e-10 * (
-                1 + np.abs(want).max())
+            tol = 1e-10 * (1 + np.abs(want).max(initial=0.0))
+            for rhs in (cqp.qp.bound(z), cqp.bound(z)):
+                got = cqp.qp.W @ v - rhs
+                assert got.shape == want.shape
+                assert np.abs(got - want).max(initial=0.0) <= tol
 
     def test_rollout_bound_matches_dense_product(self):
         rng = np.random.default_rng(11)
@@ -157,14 +185,15 @@ class TestCondenseAgainstRollout:
                 want).max()
 
     def test_provenance_is_a_bijection(self):
+        # every row's (kind, step, row) is the one the rollout emits there
         rng = np.random.default_rng(9)
-        model, prob = _random_setup(rng)
-        cqp = condense(model, prob)
-        prov = cqp.provenance
-        assert len(prov) == cqp.n_c
-        triples = set(zip(prov.kind, prov.step, prov.row))
-        assert len(triples) == cqp.n_c
-        assert set(prov.kind) <= {KIND_STATE, KIND_INPUT, KIND_RATE}
+        for model, prob in _setups_over_block_patterns(rng):
+            cqp = condense(model, prob)
+            labels = []
+            _rollout(model, prob, np.zeros(cqp.n_z), np.zeros(cqp.n_v), labels)
+            prov = cqp.provenance
+            assert len(prov) == cqp.n_c
+            assert list(zip(prov.kind, prov.step, prov.row)) == labels
 
     def test_zero_reference_fixed_point(self):
         rng = np.random.default_rng(10)
@@ -248,3 +277,29 @@ class TestModelValidation:
         with pytest.raises(Exception):
             StateSpaceModel(A=np.ones((2, 3)), B=np.ones((2, 1)),
                             C=np.ones((1, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["A", "B", "C", "D"])
+    def test_model_rejects_non_finite(self, name, bad):
+        mats = dict(A=np.eye(2), B=np.ones((2, 1)), C=np.ones((1, 2)),
+                    D=np.zeros((1, 1)))
+        mats[name] = mats[name].copy()
+        mats[name].flat[0] = bad
+        with pytest.raises(ValueError, match=f"^{name} holds NaN or inf"):
+            StateSpaceModel(**mats)
+
+    @pytest.mark.parametrize("name", ["M", "g", "rho"])
+    def test_constraint_block_rejects_non_finite(self, name):
+        data = dict(M=np.eye(2), g=np.ones(2), rho=np.ones(2))
+        data[name] = data[name].copy()
+        data[name].flat[-1] = np.nan
+        with pytest.raises(ValueError, match=f"^{name} holds NaN or inf"):
+            ConstraintBlock(**data)
+
+    @pytest.mark.parametrize("name", ["Q", "R"])
+    def test_tracking_problem_rejects_non_finite(self, name):
+        data = dict(Q=np.eye(2), R=np.eye(1))
+        data[name] = data[name].copy()
+        data[name][0, 0] = np.inf
+        with pytest.raises(ValueError, match=f"^{name} holds NaN or inf"):
+            TrackingProblem(N=2, **data)

@@ -67,6 +67,32 @@ class TestSoftQPValidation:
         with pytest.raises(ValueError):
             qp.H[0, 0] = 5.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["H", "F", "W", "c", "L", "rho"])
+    def test_rejects_non_finite(self, name, bad):
+        data = dict(H=[[2.0]], F=[[1.0]], W=[[1.0]], c=[0.0], L=[[0.0]],
+                    rho=[1.0])
+        data[name] = np.array(data[name], dtype=float)
+        data[name].flat[0] = bad
+        with pytest.raises(ValueError, match=f"^{name} holds NaN or inf"):
+            SoftQP(**data)
+
+
+class TestSolverOptionsValidation:
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": 0.0}, {"tol": -1.0}, {"tol": np.nan},
+        {"max_iterations": 0},
+        {"fraction_to_boundary": 0.0}, {"fraction_to_boundary": 1.0},
+        {"fraction_to_boundary": 1.5},
+        {"eps_shift": -1e-10}])
+    def test_rejects_out_of_range(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            SolverOptions(**kwargs)
+
+    def test_accepts_defaults_and_zero_shift(self):
+        SolverOptions()
+        SolverOptions(eps_shift=0.0, max_iterations=1)
+
 
 class TestUnconstrainedMinimizer:
     def test_scalar(self):
