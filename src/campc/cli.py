@@ -12,6 +12,7 @@ Exit codes: 0 pass, 1 acceptance failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -43,21 +44,9 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _gaussian_spec(entry, default) -> thermal2d.GaussianSpec:
-    if entry is None:
-        return default
-    try:
-        return thermal2d.GaussianSpec(
-            center=tuple(entry.get("center", default.center)),
-            width=float(entry.get("width", default.width)),
-            peak=float(entry.get("peak", entry.get("amplitude", default.peak))),
-            floor=float(entry.get("floor", default.floor)),
-        )
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise ConfigError(f"bad Gaussian spec {entry!r}: {exc}") from exc
-
-
 SCENARIO_KEYS = {"mode": str, "steps": int, "timing_repeats": int}
+GAUSSIAN_KEYS = {"center": tuple, "width": float, "peak": float,
+                 "floor": float}
 
 
 def _section_options(section, name: str, converters: dict) -> dict:
@@ -76,6 +65,13 @@ def _section_options(section, name: str, converters: dict) -> dict:
         raise ConfigError(f"bad {name} value: {exc}") from exc
 
 
+def _gaussian_spec(entry, default, name: str) -> thermal2d.GaussianSpec:
+    """`default` with the keys given in `entry` replaced; a converter of
+    the thermal section, which reports its ValueError."""
+    return dataclasses.replace(
+        default, **_section_options(entry, name, GAUSSIAN_KEYS))
+
+
 def thermal_config(section: dict | None) -> thermal2d.ThermalConfig:
     kwargs = _section_options(section, "thermal", {
         **dict.fromkeys(("n", "horizon", "ref_ramp_steps", "output_block"),
@@ -85,8 +81,10 @@ def thermal_config(section: dict | None) -> thermal2d.ThermalConfig:
                          "ref_target"), float),
         "output_nodes": lambda nodes: tuple(int(j) for j in nodes),
         "loads": lambda entries: tuple(
-            _gaussian_spec(e, thermal2d.GaussianSpec()) for e in entries),
-        "bound": lambda entry: _gaussian_spec(entry, thermal2d._DEFAULT_BOUND),
+            _gaussian_spec(e, thermal2d.GaussianSpec(), "loads entry")
+            for e in entries),
+        "bound": lambda entry: _gaussian_spec(
+            entry, thermal2d.ThermalConfig().bound, "bound"),
     })
     try:
         return thermal2d.ThermalConfig(**kwargs)
@@ -96,7 +94,7 @@ def thermal_config(section: dict | None) -> thermal2d.ThermalConfig:
 
 def solver_options(section: dict | None) -> SolverOptions:
     kwargs = _section_options(section, "solver", {
-        "tol": float, "max_iterations": int, "fraction_to_boundary": float})
+        "tol": float, "max_iterations": int})
     try:
         return SolverOptions(**kwargs)
     except ValueError as exc:
@@ -182,6 +180,19 @@ def _load_matrices(path) -> tuple:
     for name, val in (("y_ref", y_ref), ("x0", x0), ("u_prev", u_prev)):
         if val is not None and not np.isfinite(val).all():
             raise ConfigError(f"{name} in {path} holds NaN or inf")
+    n_x, n_u, n_y = model.n_x, model.n_u, model.n_y
+    shapes = [("Q", problem.Q, (n_y, n_y)), ("R", problem.R, (n_u, n_u)),
+              ("y_ref", y_ref, (len(y_ref), n_y))]
+    shapes += [(name, b.M, (b.rows, n)) for name, b, n in (
+        ("M_x", problem.state_constraints, n_x),
+        ("M_u", problem.input_constraints, n_u),
+        ("M_d", problem.rate_constraints, n_u)) if b is not None]
+    shapes += [(name, np.ravel(val), (n,)) for name, val, n in (
+        ("x0", x0, n_x), ("u_prev", u_prev, n_u)) if val is not None]
+    for name, val, want in shapes:
+        if val.shape != want:
+            raise ConfigError(f"{name} in {path} has shape {val.shape}, "
+                              f"expected {want}")
     return model, problem, y_ref, x0, u_prev
 
 
@@ -231,6 +242,8 @@ def _run_scenario(scenario: harness.Scenario, out_dir) -> int:
 
 
 def cmd_selftest(args) -> int:
+    if args.instances < 1:
+        raise ConfigError(f"--instances must be >= 1, got {args.instances}")
     rng = np.random.default_rng(args.seed)
     failures = []
 

@@ -204,25 +204,22 @@ class CondensedQP:
         At v = 0 the predicted signal is s_i = [x_i; u_prev; 0], where
         x_i = A x_{i-1} + B u_prev rolls the model N steps from x, and
         c + Lz = c - K s.  Equals `self.qp.bound(z)` up to rounding.
-        Cost: N n_x^2 for the rollout, skipped without state rows, plus
-        nnz(K) = N nnz(M) for the selection, against n_c n_z for the
-        dense product; a dense state M therefore makes it costlier than
-        `qp.bound`.
+        Cost: N n_x^2 for the rollout plus nnz(K) = N nnz(M) for the
+        selection, against n_c n_z for the dense product; a dense state
+        M therefore makes it costlier than `qp.bound`.
         """
         z = self.qp._check_z(z)
         lay = self.layout
         u_prev = z[lay.u_prev_offset:lay.y_ref_offset]
         s = np.zeros((lay.N, lay.n_x + 2 * lay.n_u))
         s[:, lay.n_x:lay.y_ref_offset] = u_prev
-        # each step's rows start with its state rows
-        if self.n_c and self.provenance.kind[0] == KIND_STATE:
-            A = self.model.A
-            Bu = self.model.B @ u_prev
-            x = z[lay.x_offset:lay.u_prev_offset]
-            for x_next in s[:, :lay.n_x]:
-                np.dot(A, x, out=x_next)
-                x_next += Bu
-                x = x_next
+        A = self.model.A
+        Bu = self.model.B @ u_prev
+        x = z[lay.x_offset:lay.u_prev_offset]
+        for x_next in s[:, :lay.n_x]:
+            np.dot(A, x, out=x_next)
+            x_next += Bu
+            x = x_next
         return self.qp.c - self._K @ s.ravel()
 
     def cost_constant(self, z: np.ndarray) -> float:

@@ -37,6 +37,9 @@ MODES = ("full", "reduced", "verify")
 CSV_COLUMNS = ("k", "n_kept", "t_screen_s", "t_solve_s", "t_solve_full_s",
                "dev_inf", "objective", "y_max", "eps_penalty")
 
+# acceptance limit on the per-step deviation, relative to 1 + |v_full|_inf
+DEV_TOL = 1e-6
+
 
 @dataclass
 class Scenario:
@@ -100,7 +103,6 @@ class Report:
     kept_fraction: float
     speedup: float
     dev_ok: bool
-    passed: bool
 
 
 def run_closed_loop(scenario: Scenario) -> RunResult:
@@ -222,26 +224,24 @@ def _require_optimal(res, k, traces):
         raise err
 
 
-def verify_equivalence(traces, n_c: int,
-                       dev_tol: float = 1e-6,
-                       min_speedup: float = 1.0) -> Report:
-    """Summarize a verify-mode trace and check equivalence thresholds.
+def verify_equivalence(traces, n_c: int) -> Report:
+    """Summarize a verify-mode trace and check equivalence.
 
-    The deviation test is relative: dev <= dev_tol * (1 + |v_full|_inf)
+    The deviation test is relative: dev <= DEV_TOL * (1 + |v_full|_inf)
     at every step.  The warm-up step is excluded from timing medians.
     """
     devs = [t.dev_inf for t in traces if t.dev_inf is not None]
     if not devs:
         raise ValueError("trace carries no verify-mode deviations")
     dev_ok = all(
-        t.dev_inf <= dev_tol * (1.0 + t.v_full_norm)
+        t.dev_inf <= DEV_TOL * (1.0 + t.v_full_norm)
         for t in traces if t.dev_inf is not None)
     timed = traces[1:] if len(traces) > 1 else traces
     t_full = np.median([t.t_solve_full_s for t in timed])
     t_red = np.median([t.t_screen_s + t.t_solve_s for t in timed])
     speedup = float(t_full / t_red) if t_red > 0 else float("inf")
     max_kept = max(t.n_kept for t in traces)
-    report = Report(
+    return Report(
         steps=len(traces),
         n_c=n_c,
         max_dev=float(max(devs)),
@@ -250,9 +250,7 @@ def verify_equivalence(traces, n_c: int,
         kept_fraction=max_kept / n_c if n_c else 0.0,
         speedup=speedup,
         dev_ok=bool(dev_ok),
-        passed=bool(dev_ok and speedup >= min_speedup),
     )
-    return report
 
 
 def write_trace_csv(traces, path, n_u: int) -> None:
@@ -274,8 +272,7 @@ def _fmt(value):
 
 
 def screening_time_sweep(n_c_values=(500, 1000, 2000, 4000), n_v: int = 15,
-                         n_z: int = 40, repeats: int = 50,
-                         seed: int = 0) -> dict:
+                         repeats: int = 50, seed: int = 0) -> dict:
     """Measure `Screener.step` time against constraint count on random data.
 
     Returns the measured times plus slope/intercept and R^2 of a linear
@@ -288,6 +285,7 @@ def screening_time_sweep(n_c_values=(500, 1000, 2000, 4000), n_v: int = 15,
     if len(set(n_c_values)) < 2:
         raise ValueError("the fit needs at least two distinct n_c values")
     rng = np.random.default_rng(seed)
+    n_z = 40
     cases = []
     for n_c in n_c_values:
         M = rng.normal(size=(n_v, n_v))

@@ -154,11 +154,6 @@ class SoftQP:
 class SolverOptions:
     tol: float = 1e-8
     max_iterations: int = 200
-    fraction_to_boundary: float = 0.995
-    # tiny curvature on the slack block; the (v, eps) Hessian is only PSD
-    eps_shift: float = 1e-10
-    # active-set refinement after convergence
-    polish: bool = True
 
     def __post_init__(self):
         if not self.tol > 0.0:
@@ -166,11 +161,6 @@ class SolverOptions:
         if not self.max_iterations >= 1:
             raise ValueError(
                 f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not 0.0 < self.fraction_to_boundary < 1.0:
-            raise ValueError("fraction_to_boundary must lie in (0, 1), "
-                             f"got {self.fraction_to_boundary}")
-        if not self.eps_shift >= 0.0:
-            raise ValueError(f"eps_shift must be >= 0, got {self.eps_shift}")
 
 
 @dataclass(frozen=True)
@@ -211,7 +201,8 @@ def solve_soft_qp(qp: SoftQP, z: np.ndarray,
     Inequalities are handled through positive slacks s (constraint rows)
     and t (eps >= 0); eps itself is eliminated from the Newton system,
     leaving an n_v x n_v condensed KKT matrix per iteration.  `rhs` may
-    carry a precomputed c + Lz.
+    carry a precomputed c + Lz.  An optimal exit is refined by an
+    active-set polish, which the exactness of screening relies on.
     """
     if opts is None:
         opts = SolverOptions()
@@ -232,7 +223,8 @@ def solve_soft_qp(qp: SoftQP, z: np.ndarray,
 
     H, W, rho = qp.H, qp.W, qp.rho
     b = qp.bound(z) if rhs is None else rhs
-    delta = opts.eps_shift
+    # tiny curvature on the slack block; the (v, eps) Hessian is only PSD
+    delta = 1e-10
 
     # strictly interior start: slack/dual pairs at >= 1
     v = qp.unconstrained_minimizer(z)
@@ -243,7 +235,7 @@ def solve_soft_qp(qp: SoftQP, z: np.ndarray,
     lam = np.ones(n_c)
     mu = np.ones(n_c)
 
-    ftb = opts.fraction_to_boundary
+    ftb = 0.995     # fraction of the distance to the boundary a step covers
     status = MAX_ITERATIONS
     it = 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -321,7 +313,7 @@ def solve_soft_qp(qp: SoftQP, z: np.ndarray,
     kkt = _kkt_residual(qp, b, g, v, eps, lam, mu)
     if status != NUMERICAL_FAILURE and kkt <= opts.tol:
         status = OPTIMAL
-    if status == OPTIMAL and opts.polish:
+    if status == OPTIMAL:
         v, eps, kkt = _polish(qp, b, g, v, eps, lam, mu, s, t, kkt)
     return SolveResult(v, eps, qp.objective(v, eps, z), status, it, kkt)
 
@@ -403,8 +395,10 @@ def _polish(qp, b, g, v, eps, lam, mu, s, t, kkt):
     return best
 
 
-def enumerate_oracle(qp: SoftQP, z: np.ndarray,
-                     max_n_v: int = 6, max_n_c: int = 14) -> SolveResult:
+ORACLE_MAX_N_V, ORACLE_MAX_N_C = 6, 14   # hypotheses grow as 3^n_c
+
+
+def enumerate_oracle(qp: SoftQP, z: np.ndarray) -> SolveResult:
     """Exact minimizer by enumerating optimal-slack structures.
 
     At an optimum each constraint row is in one of three states:
@@ -414,9 +408,10 @@ def enumerate_oracle(qp: SoftQP, z: np.ndarray,
     Structures are tried with few non-inactive rows first; the first
     KKT-consistent candidate is the global minimizer (convex problem).
     """
-    if qp.n_v > max_n_v or qp.n_c > max_n_c:
+    if qp.n_v > ORACLE_MAX_N_V or qp.n_c > ORACLE_MAX_N_C:
         raise SizeGuardError(
-            f"oracle limited to n_v <= {max_n_v}, n_c <= {max_n_c}; "
+            f"oracle limited to n_v <= {ORACLE_MAX_N_V}, "
+            f"n_c <= {ORACLE_MAX_N_C}; "
             f"got n_v={qp.n_v}, n_c={qp.n_c}")
     z = qp._check_z(z)
     g = qp.F @ z
@@ -525,11 +520,12 @@ def _lstsq_or_nan(K, rhs):
         return np.full(len(rhs), np.nan)
 
 
-def random_soft_qp(rng, n_v_max=4, n_c_max=10, n_z_max=3):
-    """Random well-conditioned soft QP plus a parameter vector."""
-    n_v = int(rng.integers(1, n_v_max + 1))
-    n_c = int(rng.integers(1, n_c_max + 1))
-    n_z = int(rng.integers(1, n_z_max + 1))
+def random_soft_qp(rng):
+    """Random well-conditioned soft QP plus a parameter vector, with
+    1-4 variables, 1-10 constraints and 1-3 parameters."""
+    n_v = int(rng.integers(1, 5))
+    n_c = int(rng.integers(1, 11))
+    n_z = int(rng.integers(1, 4))
     M = rng.normal(size=(n_v, n_v))
     qp = SoftQP(
         H=M.T @ M + 0.1 * np.eye(n_v),

@@ -17,6 +17,10 @@ from campc.condenser import CondensedQP
 from campc.numqp import DimensionError, SoftQP, SolveResult
 
 
+# largest slack a removed row may need at the reduced minimizer
+REMOVED_SLACK_TOL = 1e-7
+
+
 class EquivalenceViolation(RuntimeError):
     """A removed constraint is violated by the reduced minimizer."""
 
@@ -149,19 +153,16 @@ def complete_slacks(v_tilde: np.ndarray, qp, z: np.ndarray,
 
 
 def ellipsoid_bound(v_tilde: np.ndarray, eps_tilde: np.ndarray, qp,
-                    z: np.ndarray,
-                    v_uc: np.ndarray | None = None) -> EllipsoidBound:
+                    z: np.ndarray) -> EllipsoidBound:
     """Bound on the full-problem minimizer from a feasible pair.
 
     Center q = (v~ + v_uc)/2 with v_uc = -H^-1 Fz; squared radius
-    sigma = rho'eps~ + |G(v~ - v_uc)|^2 / 4.  `v_uc` may carry the
-    precomputed unconstrained minimizer.
+    sigma = rho'eps~ + |G(v~ - v_uc)|^2 / 4.
     """
     soft = _softqp(qp)
     v_tilde = np.asarray(v_tilde, dtype=float).ravel()
     eps_tilde = np.asarray(eps_tilde, dtype=float).ravel()
-    if v_uc is None:
-        v_uc = soft.unconstrained_minimizer(z)
+    v_uc = soft.unconstrained_minimizer(z)
     q = 0.5 * (v_tilde + v_uc)
     sigma = float(soft.rho @ eps_tilde
                   + 0.25 * np.sum((soft.G @ (v_tilde - v_uc)) ** 2))
@@ -195,20 +196,19 @@ def reduce_qp(qp, kept: KeptSet) -> SoftQP:
 
 
 def expand_solution(red: SolveResult, kept: KeptSet, qp, z: np.ndarray,
-                    tol: float = 1e-7,
                     rhs: np.ndarray | None = None) -> SolveResult:
     """Re-embed a reduced solution into the full constraint ordering.
 
     Slacks for removed rows are recomputed from the minimizer; any of
-    them exceeding `tol` signals an unsound screening decision.  `rhs`
-    may carry a precomputed c + Lz.
+    them exceeding REMOVED_SLACK_TOL signals an unsound screening
+    decision.  `rhs` may carry a precomputed c + Lz.
     """
     soft = _softqp(qp)
     v = np.asarray(red.v_star, dtype=float).ravel()
     eps = complete_slacks(v, qp, z, rhs=rhs)
     removed = np.ones(soft.n_c, dtype=bool)
     removed[kept.indices] = False
-    if eps[removed].max(initial=0.0) > tol:
+    if eps[removed].max(initial=0.0) > REMOVED_SLACK_TOL:
         j = int(np.flatnonzero(removed)[np.argmax(eps[removed])])
         raise EquivalenceViolation(
             f"removed constraint {j} violated by {eps[j]:.3e}")

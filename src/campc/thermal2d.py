@@ -30,15 +30,6 @@ class GaussianSpec:
             raise ValueError("Gaussian width must be positive")
 
 
-_DEFAULT_LOADS = (
-    GaussianSpec(center=(0.3, 0.5), width=0.12, peak=1.0),
-    GaussianSpec(center=(0.5, 0.5), width=0.12, peak=1.0),
-    GaussianSpec(center=(0.7, 0.5), width=0.12, peak=1.0),
-)
-_DEFAULT_BOUND = GaussianSpec(center=(0.5, 0.5), width=0.45, peak=11.5,
-                              floor=0.0)
-
-
 @dataclass(frozen=True)
 class ThermalConfig:
     n: int = 20                    # nodes per axis
@@ -47,8 +38,9 @@ class ThermalConfig:
     reaction_sign: float = -1.0    # contributes sign * beta * T (damping by default)
     boundary_sign: float = -1.0    # alpha dT/dn = sign * T on the boundary
     dt: float = 1.0                # sample time [s]
-    loads: tuple = _DEFAULT_LOADS
-    bound: GaussianSpec = _DEFAULT_BOUND
+    loads: tuple = tuple(GaussianSpec(center=(cx, 0.5))    # three heaters
+                         for cx in (0.3, 0.5, 0.7))
+    bound: GaussianSpec = GaussianSpec(width=0.45, peak=11.5)  # upper bound
     output_block: int = 5          # side of the centered output square
     output_nodes: tuple = None     # explicit node indices; overrides block
     horizon: int = 5

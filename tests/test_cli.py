@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -13,7 +15,10 @@ from campc.cli import (
     solver_options,
     thermal_config,
 )
+from campc.numqp import SolverOptions
 from campc.thermal2d import ThermalConfig
+
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "thermal.yaml"
 
 
 def _write_yaml(path, data):
@@ -53,6 +58,11 @@ class TestConfigLoading:
     def test_thermal_defaults(self):
         assert thermal_config(None) == ThermalConfig()
 
+    def test_shipped_config_shows_the_defaults(self):
+        cfg = load_config(CONFIG)
+        assert thermal_config(cfg["thermal"]) == ThermalConfig()
+        assert solver_options(cfg["solver"]) == SolverOptions()
+
     def test_unknown_thermal_key(self):
         with pytest.raises(ConfigError):
             thermal_config({"conductivity": 1.0})
@@ -90,6 +100,11 @@ class TestMain:
         assert "FAIL" not in out
         assert out.count("pass") == 3
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_selftest_needs_an_instance(self, capsys, count):
+        assert main(["selftest", "--instances", count]) == EXIT_CONFIG
+        assert "pass" not in capsys.readouterr().out
+
     def test_bad_config_exit_code(self, tmp_path):
         cfg = _write_yaml(tmp_path / "c.yaml",
                           {"thermal": {"bogus_key": 1}})
@@ -111,7 +126,11 @@ class TestMain:
         {"solver": {"tol": -1}}, {"solver": {"max_iterations": 0}},
         {"solver": {"fraction_to_boundary": 1.5}},
         {"thermal": {"alpha": float("nan")}},
-        {"thermal": {"bound": {"peak": float("inf")}}}])
+        {"thermal": {"bound": {"peak": float("inf")}}},
+        {"thermal": {"bound": {"peek": 3.0}}},
+        {"thermal": {"bound": [11.5]}},
+        {"thermal": {"loads": [{"center": [0.5, 0.5], "amplitude": 2.0}]}},
+        {"thermal": {"loads": [{"width": 0.0}]}}])
     def test_bad_config_value_exit_code(self, tmp_path, section):
         cfg = _write_yaml(tmp_path / "c.yaml", {
             "thermal": {"n": 6, "output_block": 2, "horizon": 3}, **section})
@@ -172,6 +191,22 @@ class TestMain:
         cfg = _write_yaml(tmp_path / "c.yaml", {
             "matrices": {"path": "m.npz"}, "scenario": {"steps": 3}})
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("bad", ["y_ref", "x0", "Q", "R", "u_prev",
+                                     "M_u"])
+    def test_run_rejects_misshapen_matrices(self, tmp_path, capsys, bad):
+        # n_x = n_u = n_y = 1; each array below is sized for 2 or 3
+        data = dict(A=np.eye(1) * 0.5, B=np.eye(1), C=np.eye(1),
+                    Q=np.eye(1), R=np.eye(1), N=2, y_ref=np.ones((5, 1)),
+                    M_u=np.ones((2, 1)), g_u=np.ones(2), rho_u=np.ones(2))
+        data[bad] = dict(y_ref=np.ones((5, 2)), x0=np.zeros(3),
+                         Q=np.eye(2), R=np.eye(2), u_prev=np.zeros(2),
+                         M_u=np.ones((2, 2)))[bad]
+        np.savez(tmp_path / "m.npz", **data)
+        cfg = _write_yaml(tmp_path / "c.yaml", {
+            "matrices": {"path": "m.npz"}, "scenario": {"steps": 3}})
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        assert f"{bad} in " in capsys.readouterr().err
 
     def test_run_from_npz(self, tmp_path, capsys):
         steps, N = 4, 2
