@@ -6,6 +6,7 @@ from campc.numqp import (
     SolverOptions,
     cholesky_factor,
     enumerate_oracle,
+    solve_active_set,
     solve_soft_qp,
 )
 from campc.condenser import (
@@ -32,7 +33,7 @@ from campc.screener import (
 
 __all__ = [
     "SoftQP", "SolveResult", "SolverOptions", "cholesky_factor",
-    "enumerate_oracle", "solve_soft_qp",
+    "enumerate_oracle", "solve_active_set", "solve_soft_qp",
     "CondensedQP", "ConstraintBlock", "StateSpaceModel", "TrackingProblem",
     "assemble_z", "condense", "extract_input", "shift_warm_start",
     "EllipsoidBound", "KeptSet", "Screener", "complete_slacks",

@@ -164,11 +164,14 @@ def _load_matrices(path) -> tuple:
         return ConstraintBlock(M=data[f"M_{prefix}"], g=data[f"g_{prefix}"],
                                rho=data[f"rho_{prefix}"])
 
+    N = data["N"]
+    if N.shape != ():
+        raise ConfigError(f"N in {path} has shape {N.shape}, expected ()")
     try:
         model = StateSpaceModel(A=data["A"], B=data["B"], C=data["C"],
                                 D=data["D"] if "D" in data.files else None)
         problem = TrackingProblem(
-            Q=data["Q"], R=data["R"], N=int(data["N"]),
+            Q=data["Q"], R=data["R"], N=int(N),
             state_constraints=block("x"),
             input_constraints=block("u"),
             rate_constraints=block("d"))

@@ -6,6 +6,13 @@ Runs the receding-horizon loop in one of three modes:
   reduced  screen first, solve only the kept constraints;
   verify   do both and record the deviation between the minimizers.
 
+The full problem is solved by the interior point method
+(`solve_soft_qp`), the paper's baseline and the reference of the
+speedup ratio.  The reduced problem is solved by the cold-start active
+set (`solve_active_set`), which falls back to the interior point method
+when its exit is not a KKT point; with no kept row either is the closed
+form.  The reduced-solve timer covers `reduce_qp` and that solve.
+
 The plant is propagated with the controller model (no mismatch).
 
 Each step forms the constraint right-hand side c + Lz once, from a
@@ -29,6 +36,7 @@ from campc.numqp import (
     SoftQP,
     SolverFailure,
     SolverOptions,
+    solve_active_set,
     solve_soft_qp,
 )
 
@@ -156,8 +164,8 @@ def run_closed_loop(scenario: Scenario) -> RunResult:
 
             def solve_step(kept):
                 red = screener.reduce_qp(cqp, kept)
-                return solve_soft_qp(red, z, scenario.options,
-                                     rhs=rhs[kept.indices])
+                return solve_active_set(red, z, scenario.options,
+                                        rhs=rhs[kept.indices])
 
             # screen and solve are timed back to back within each repeat
             # so a load spike hits both measurements, not just one
@@ -277,13 +285,13 @@ def screening_time_sweep(n_c_values=(500, 1000, 2000, 4000), n_v: int = 15,
 
     Returns the measured times plus slope/intercept and R^2 of a linear
     fit, for checking that screening scales linearly in n_c.  Raises
-    ValueError for `repeats < 1` or fewer than two distinct sizes, where
-    the fit says nothing.
+    ValueError for `repeats < 1` or fewer than three distinct sizes: a
+    line through two points fits them with R^2 = 1, so it says nothing.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    if len(set(n_c_values)) < 2:
-        raise ValueError("the fit needs at least two distinct n_c values")
+    if len(set(n_c_values)) < 3:
+        raise ValueError("the fit needs at least three distinct n_c values")
     rng = np.random.default_rng(seed)
     n_z = 40
     cases = []

@@ -7,9 +7,23 @@ Problem form, for data (H, F, W, c, L, rho) and parameter vector z:
                 eps >= 0
 
 with H symmetric positive definite and rho elementwise positive.  The
-module provides the data container, an interior point solver, a
-brute-force enumeration oracle for testing, and a random instance
-generator for property tests.
+module provides the data container, two solvers, a brute-force
+enumeration oracle for testing, and a random instance generator for
+property tests.
+
+The solvers share one active-set loop (`_active_set`), which classes
+each row as inactive, at its boundary or violated and solves the
+equality system of those classes exactly:
+
+  solve_soft_qp     interior point method; its optimal exit is refined
+                    by the loop started from the classes the iterate
+                    suggests (the polish).  Its cost grows with the
+                    number of rows; it is the full-problem solver.
+  solve_active_set  the loop alone, from every row inactive, with
+                    solve_soft_qp as the fallback whenever its exit is
+                    not a KKT point to `tol`.  Its cost grows with the
+                    number of rows that end up active; the closed loop
+                    uses it for the screened (reduced) problem.
 """
 from __future__ import annotations
 
@@ -18,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import dposv, dpotrs
 
 
 class DimensionError(ValueError):
@@ -210,10 +225,7 @@ def solve_soft_qp(qp: SoftQP, z: np.ndarray,
     g = qp.F @ z
     n_v, n_c = qp.n_v, qp.n_c
     if rhs is not None:
-        rhs = _as_vector(rhs, "rhs")
-        if len(rhs) != n_c:
-            raise DimensionError(
-                f"rhs has length {len(rhs)}, expected {n_c}")
+        rhs = _checked_rhs(qp, rhs)
 
     if n_c == 0:
         v = qp.unconstrained_minimizer(z)
@@ -314,85 +326,133 @@ def solve_soft_qp(qp: SoftQP, z: np.ndarray,
     if status != NUMERICAL_FAILURE and kkt <= opts.tol:
         status = OPTIMAL
     if status == OPTIMAL:
-        v, eps, kkt = _polish(qp, b, g, v, eps, lam, mu, s, t, kkt)
+        # polish: the active set started from the classes the iterate
+        # suggests, comparing each primal quantity with its dual partner;
+        # it resolves weakly active rows the interior point cannot
+        # separate at loose tolerances, and is kept only if its KKT
+        # residual is no larger
+        active = s < lam                 # at its boundary or violated
+        pinned = active & (t > mu)       # slack strictly positive
+        out = _active_set(qp, b, g, active & ~pinned, pinned)
+        if out is not None:
+            v_p, eps_p, lam_p, _ = out
+            kkt_p = _kkt_residual(qp, b, g, v_p, eps_p, lam_p, rho - lam_p)
+            if kkt_p <= kkt:
+                v, eps, kkt = v_p, eps_p, kkt_p
     return SolveResult(v, eps, qp.objective(v, eps, z), status, it, kkt)
 
 
-def _polish(qp, b, g, v, eps, lam, mu, s, t, kkt):
-    """Active-set refinement of a converged interior point iterate.
+def solve_active_set(qp: SoftQP, z: np.ndarray,
+                     opts: SolverOptions | None = None,
+                     rhs: np.ndarray | None = None) -> SolveResult:
+    """Cold-start active-set method, with `solve_soft_qp` as fallback.
 
-    Rows start in the class suggested by comparing each primal quantity
-    against its dual partner (inactive / at the boundary / violated).
-    The guessed equality system is solved exactly; rows whose sign
-    conditions come out wrong are reclassified one at a time, which
-    resolves weakly-active rows the interior point cannot separate at
-    loose tolerances.  The refined point is kept only if its KKT
-    residual does not grow.
+    Every row starts inactive, and `_active_set` moves one row per pass
+    until the equality system of the row classes is a KKT point.  The
+    result is `Optimal` only if its KKT residual is at most `opts.tol`,
+    and `iterations` counts the passes.  Otherwise (the loop cycled,
+    reached its pass cap or met a failed solve) the interior point
+    method solves the problem and its result is returned.  Cheapest on
+    small problems with few active rows, such as a screened problem.
+    `rhs` may carry a precomputed c + Lz; with no rows this is the
+    closed form of `solve_soft_qp`.
     """
-    H, W, rho = qp.H, qp.W, qp.rho
-    n_v, n_c = qp.n_v, qp.n_c
-    active = s < lam          # constraint row at its boundary or violated
-    pinned = active & (t > mu)       # slack strictly positive
-    eq = active & ~pinned            # at the boundary with zero slack
-    tiny = 1e-11 * (1.0 + np.abs(b).max(initial=0.0))
-    best = (v, eps, kkt)
-    for _ in range(3 * n_c + 1):
-        E = np.flatnonzero(eq)
-        P = np.flatnonzero(pinned)
-        rhs_v = -g - W[P].T @ rho[P]
-        nE = len(E)
-        try:
-            if nE:
-                KKT = np.zeros((n_v + nE, n_v + nE))
-                KKT[:n_v, :n_v] = H
-                KKT[:n_v, n_v:] = W[E].T
-                KKT[n_v:, :n_v] = W[E]
-                rhs = np.concatenate([rhs_v, b[E]])
-                sol, *_ = np.linalg.lstsq(KKT, rhs, rcond=None)
-                v_new, lam_E = sol[:n_v], sol[n_v:]
-            else:
-                v_new = sla.cho_solve((qp.G, False), rhs_v)
-                lam_E = np.zeros(0)
-        except np.linalg.LinAlgError:
-            break
-        res = W @ v_new - b
-        eps_new = np.zeros_like(eps)
-        eps_new[P] = np.maximum(res[P], 0.0)
-        lam_new = np.zeros_like(lam)
-        lam_new[P] = rho[P]
-        lam_new[E] = lam_E
-        mu_new = rho - lam_new
-        kkt_new = _kkt_residual(qp, b, g, v_new, eps_new, lam_new, mu_new)
-        if kkt_new <= best[2]:
-            best = (v_new, eps_new, kkt_new)
+    if opts is None:
+        opts = SolverOptions()
+    if qp.n_c == 0:
+        return solve_soft_qp(qp, z, opts, rhs=rhs)
+    z = qp._check_z(z)
+    b = qp.bound(z) if rhs is None else _checked_rhs(qp, rhs)
+    g = qp.F @ z
+    out = _active_set(qp, b, g, np.zeros(qp.n_c, dtype=bool),
+                      np.zeros(qp.n_c, dtype=bool))
+    if out is not None:
+        v, eps, lam, passes = out
+        kkt = _kkt_residual(qp, b, g, v, eps, lam, qp.rho - lam)
+        if kkt <= opts.tol:
+            return SolveResult(v, eps, qp.objective(v, eps, z), OPTIMAL,
+                               passes, kkt)
+    return solve_soft_qp(qp, z, opts, rhs=b)
 
-        # score each way a row's sign conditions can fail and move the
-        # single worst offender to the class its own numbers point at
-        bad_i = np.where(~eq & ~pinned, res, -np.inf)      # should hold
-        bad_p = np.where(pinned, -res, -np.inf)            # slack >= 0
-        bad_lo = np.full(n_c, -np.inf)
-        bad_hi = np.full(n_c, -np.inf)
-        bad_lo[E] = -lam_E                                 # lam_E >= 0
-        bad_hi[E] = lam_E - rho[E]                         # lam_E <= rho
-        worst = max(bad_i.max(initial=-np.inf), bad_p.max(initial=-np.inf),
-                    bad_lo.max(initial=-np.inf), bad_hi.max(initial=-np.inf))
-        if worst <= tiny:
-            break
-        if worst == bad_i.max(initial=-np.inf):
-            j = int(bad_i.argmax())
-            eq[j] = True
-        elif worst == bad_p.max(initial=-np.inf):
-            j = int(bad_p.argmax())
-            pinned[j] = False
-            eq[j] = True
-        elif worst == bad_lo.max(initial=-np.inf):
-            j = int(bad_lo.argmax())
-            eq[j] = False
+
+def _checked_rhs(qp, rhs):
+    rhs = _as_vector(rhs, "rhs")
+    if len(rhs) != qp.n_c:
+        raise DimensionError(
+            f"rhs has length {len(rhs)}, expected {qp.n_c}")
+    return rhs
+
+
+def _active_set(qp, b, g, eq, pinned):
+    """Active-set loop over the classes of the soft QP's rows.
+
+    A row is inactive (W_j v <= b_j, eps_j = 0, multiplier 0), at its
+    boundary (`eq`: W_j v = b_j, eps_j = 0, multiplier in [0, rho_j]) or
+    violated (`pinned`: eps_j = W_j v - b_j >= 0, multiplier rho_j), as
+    in `enumerate_oracle`.  Each pass solves the equality system the
+    classes define exactly, then moves the single row whose sign
+    condition fails worst to the class its own numbers point at.  The
+    loop stops when no row fails by more than a tiny margin, or after
+    3*n_c + 1 passes, which bounds its cost: it is not guaranteed to
+    terminate on its own, and can cycle.  `eq` and `pinned` are updated
+    in place.
+
+    Returns (v, eps, lam, passes) of the last solve, or None if a solve
+    failed; the caller judges the point by its KKT residual.
+    """
+    W, rho, G = qp.W, qp.rho, qp.G
+    n_v, n_c = qp.n_v, qp.n_c
+    tiny = 1e-11 * (1.0 + np.abs(b).max(initial=0.0))
+    for passes in range(1, 3 * n_c + 2):
+        E, = eq.nonzero()
+        P, = pinned.nonzero()
+        # range-space solve through the cached factor G (H = G'G), which
+        # was checked when the problem was built: v first minimizes with
+        # the boundary rows left out, then their multipliers solve the
+        # Schur complement system S lam_E = W_E v - b_E and correct it
+        v, _ = dpotrs(G, -g - rho[P] @ W[P])
+        if len(E):
+            W_E = W[E]
+            Y, _ = dpotrs(G, W_E.T)          # H^-1 W_E'
+            S = W_E @ Y
+            r = W_E @ v - b[E]
+            _, lam_E, info = dposv(S, r)
+            if info or len(E) > n_v:
+                # more boundary rows than variables, or dependent ones:
+                # the least-norm multipliers
+                try:
+                    lam_E = np.linalg.lstsq(S, r, rcond=None)[0]
+                except np.linalg.LinAlgError:
+                    return None
+            v = v - Y @ lam_E
         else:
-            j = int(bad_hi.argmax())
+            lam_E = np.zeros(0)
+        res = W @ v - b
+        # how far each row's sign condition fails: res <= 0 if inactive,
+        # res >= 0 if pinned, 0 <= lam <= rho at the boundary
+        score = np.where(pinned, -res, res)
+        score[E] = np.maximum(-lam_E, lam_E - rho[E])
+        j = int(score.argmax())
+        if score[j] <= tiny:
+            break
+        if eq[j]:
+            # a negative multiplier releases the row; one above rho_j
+            # means the slack must carry it
             eq[j] = False
+            pinned[j] = lam_E[np.searchsorted(E, j)] > rho[j]
+        elif pinned[j] or len(E) < n_v:
+            eq[j] = True
+            pinned[j] = False
+        else:
+            # the boundary rows already fix v, so a violated row cannot
+            # join them; its slack carries it instead
             pinned[j] = True
-    return best
+    eps = np.zeros(n_c)
+    eps[P] = np.maximum(res[P], 0.0)
+    lam = np.zeros(n_c)
+    lam[P] = rho[P]
+    lam[E] = lam_E
+    return v, eps, lam, passes
 
 
 ORACLE_MAX_N_V, ORACLE_MAX_N_C = 6, 14   # hypotheses grow as 3^n_c

@@ -168,7 +168,9 @@ class TestMain:
         assert code in (EXIT_OK, EXIT_FAIL)  # timing-dependent gate
 
     @pytest.mark.parametrize("args", [
-        ["--repeats", "0"], ["--n-c", "500"], ["--n-c", "500", "500"]])
+        ["--repeats", "0"], ["--n-c", "500"], ["--n-c", "500", "500"],
+        ["--n-c", "0", "20", "--repeats", "1"],
+        ["--n-c", "500", "1000", "500"]])
     def test_sweep_nc_bad_arguments(self, args):
         assert main(["sweep-nc", *args]) == EXIT_CONFIG
 
@@ -193,7 +195,7 @@ class TestMain:
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
 
     @pytest.mark.parametrize("bad", ["y_ref", "x0", "Q", "R", "u_prev",
-                                     "M_u"])
+                                     "M_u", "N"])
     def test_run_rejects_misshapen_matrices(self, tmp_path, capsys, bad):
         # n_x = n_u = n_y = 1; each array below is sized for 2 or 3
         data = dict(A=np.eye(1) * 0.5, B=np.eye(1), C=np.eye(1),
@@ -201,7 +203,7 @@ class TestMain:
                     M_u=np.ones((2, 1)), g_u=np.ones(2), rho_u=np.ones(2))
         data[bad] = dict(y_ref=np.ones((5, 2)), x0=np.zeros(3),
                          Q=np.eye(2), R=np.eye(2), u_prev=np.zeros(2),
-                         M_u=np.ones((2, 2)))[bad]
+                         M_u=np.ones((2, 2)), N=np.array([2, 3]))[bad]
         np.savez(tmp_path / "m.npz", **data)
         cfg = _write_yaml(tmp_path / "c.yaml", {
             "matrices": {"path": "m.npz"}, "scenario": {"steps": 3}})

@@ -177,3 +177,9 @@ class TestScreeningSweep:
     def test_rejects_fewer_than_two_sizes(self, sizes):
         with pytest.raises(ValueError):
             screening_time_sweep(n_c_values=sizes, repeats=2)
+
+    @pytest.mark.parametrize("sizes", [(500, 1000), (0, 20, 20)])
+    def test_rejects_two_sizes(self, sizes):
+        # a line through two points fits them exactly: R^2 = 1 on no evidence
+        with pytest.raises(ValueError, match="three distinct"):
+            screening_time_sweep(n_c_values=sizes, repeats=2)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from campc import numqp
 from campc.numqp import (
     MAX_ITERATIONS,
     OPTIMAL,
@@ -11,6 +12,7 @@ from campc.numqp import (
     SolverOptions,
     cholesky_factor,
     enumerate_oracle,
+    solve_active_set,
     solve_soft_qp,
 )
 from conftest import random_soft_qp, scalar_qp
@@ -199,6 +201,110 @@ class TestSolveSoftQP:
                 totals.append(qp.rho @ res.eps_star)
             assert totals[0] >= totals[1] - 1e-7
             assert totals[1] >= totals[2] - 1e-7
+
+
+def _cold_loop(qp, z):
+    """`_active_set` from every row inactive, as `solve_active_set` runs
+    it: its (v, eps, lam, passes) and the KKT residual of that point."""
+    b, g = qp.bound(z), qp.F @ z
+    none = np.zeros(qp.n_c, dtype=bool)
+    v, eps, lam, passes = numqp._active_set(qp, b, g, none, none.copy())
+    kkt = numqp._kkt_residual(qp, b, g, v, eps, lam, qp.rho - lam)
+    return v, eps, lam, passes, kkt
+
+
+def _same_result(got, want):
+    for field in ("v_star", "eps_star"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+    for field in ("objective", "status", "iterations", "kkt_residual"):
+        assert getattr(got, field) == getattr(want, field)
+
+
+class TestSolveActiveSet:
+    @pytest.mark.parametrize("c, rho, v, e, passes", [
+        (0.5, 10.0, 0.5, 0.0, 2),    # inactive -> boundary
+        (0.5, 0.5, 0.75, 0.25, 3),   # inactive -> boundary -> violated
+        (5.0, 1.0, 1.0, 0.0, 1)])
+    def test_pinned_examples(self, c, rho, v, e, passes):
+        res = solve_active_set(scalar_qp(c=c, rho=rho), [-1.0])
+        assert res.status == OPTIMAL
+        assert res.iterations == passes
+        assert np.allclose(res.v_star, [v], atol=1e-12)
+        assert np.allclose(res.eps_star, [e], atol=1e-12)
+
+    # the random-instance streams of acceptance criteria 2 (seed 100,
+    # which also draws a candidate per instance) and 8 (seed 400)
+    @pytest.mark.parametrize("seed, count, draws_candidate",
+                             [(100, 1000, True), (400, 500, False)])
+    def test_agrees_with_oracle(self, seed, count, draws_candidate):
+        rng = np.random.default_rng(seed)
+        worst, fell_back = 0.0, 0
+        for _ in range(count):
+            qp, z = random_soft_qp(rng)
+            if draws_candidate:
+                rng.normal(scale=2.0, size=qp.n_v)
+            got = solve_active_set(qp, z)
+            want = enumerate_oracle(qp, z)
+            assert got.status == OPTIMAL
+            assert got.kkt_residual <= 1e-8
+            worst = max(worst, np.abs(got.v_star - want.v_star).max()
+                        / (1.0 + np.abs(want.v_star).max()))
+            fell_back += not np.array_equal(got.v_star, _cold_loop(qp, z)[0])
+        assert worst <= 1e-6
+        # both branches ran: the loop's own exit and the fallback
+        assert 0 < fell_back < count / 10
+
+    def test_forced_fallback_returns_ipm_result(self):
+        # a tolerance no point meets fails the residual gate, so the
+        # result is the interior point method's, field for field
+        rng = np.random.default_rng(16)
+        opts = SolverOptions(tol=1e-300, max_iterations=30)
+        checked = 0
+        for _ in range(20):
+            qp, z = random_soft_qp(rng)
+            if _cold_loop(qp, z)[4] == 0.0:
+                continue    # an exact KKT point passes any tolerance
+            want = solve_soft_qp(qp, z, opts)
+            _same_result(solve_active_set(qp, z, opts), want)
+            _same_result(solve_active_set(qp, z, opts, rhs=qp.bound(z)),
+                         want)
+            checked += 1
+        assert checked >= 10
+
+    def test_pass_cap_ends_in_fallback(self):
+        # the loop can cycle; it stops after 3*n_c + 1 passes, and its
+        # exit there is no KKT point, so the answer is the fallback's
+        rng = np.random.default_rng(1)
+        capped = 0
+        for _ in range(300):
+            qp, z = random_soft_qp(rng)
+            *_, passes, kkt = _cold_loop(qp, z)
+            if passes < 3 * qp.n_c + 1:
+                continue
+            capped += 1
+            assert kkt > 1e-8
+            got = solve_active_set(qp, z)
+            _same_result(got, solve_soft_qp(qp, z))
+            want = enumerate_oracle(qp, z)
+            assert got.status == OPTIMAL
+            assert np.abs(got.v_star - want.v_star).max() <= 1e-6 * (
+                1.0 + np.abs(want.v_star).max())
+        assert capped
+
+    def test_no_rows_matches_solve_soft_qp(self):
+        qp = SoftQP(H=[[2.0, 1.0], [1.0, 2.0]], F=np.eye(2),
+                    W=np.zeros((0, 2)), c=[], L=np.zeros((0, 2)), rho=[])
+        for rhs in (None, []):
+            _same_result(solve_active_set(qp, [1.0, -3.0], rhs=rhs),
+                         solve_soft_qp(qp, [1.0, -3.0]))
+
+    def test_rhs_length_checked(self):
+        empty = SoftQP(H=[[2.0]], F=[[2.0]], W=np.zeros((0, 1)), c=[],
+                       L=np.zeros((0, 1)), rho=[])
+        for qp, rhs in ((scalar_qp(), [0.5, 0.5]), (scalar_qp(), []),
+                        (empty, [0.5])):
+            with pytest.raises(DimensionError):
+                solve_active_set(qp, [-1.0], rhs=rhs)
 
 
 class TestEnumerateOracle:
