@@ -12,6 +12,7 @@ from campc.numqp import (
 from campc.condenser import (
     CondensedQP,
     ConstraintBlock,
+    KroneckerOperator,
     StateSpaceModel,
     TrackingProblem,
     assemble_z,
@@ -34,7 +35,8 @@ from campc.screener import (
 __all__ = [
     "SoftQP", "SolveResult", "SolverOptions", "cholesky_factor",
     "enumerate_oracle", "solve_active_set", "solve_soft_qp",
-    "CondensedQP", "ConstraintBlock", "StateSpaceModel", "TrackingProblem",
+    "CondensedQP", "ConstraintBlock", "KroneckerOperator", "StateSpaceModel",
+    "TrackingProblem",
     "assemble_z", "condense", "extract_input", "shift_warm_start",
     "EllipsoidBound", "KeptSet", "Screener", "complete_slacks",
     "ellipsoid_bound", "expand_solution", "precompute_row_norms",

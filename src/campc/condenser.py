@@ -11,6 +11,10 @@ Constraint rows read the predicted signal s_i = [x_i; u_{i-1}; du_{i-1}],
 an affine map of (z, v) from one recursion over the dynamics; a single
 sparse row selection K over s gives W, L, c, rho and the provenance in
 `condense`, and the per-step c + Lz = c - K s(z, 0) in `CondensedQP.bound`.
+
+The model's A is a dense array or a `KroneckerOperator`; the condenser
+only ever forms A @ x, so a separable model is rolled out through its
+factors without a dense n_x x n_x matrix.
 """
 from __future__ import annotations
 
@@ -28,17 +32,64 @@ KIND_RATE = "rate"
 
 
 @dataclass(frozen=True)
-class StateSpaceModel:
-    """Discrete-time LTI model x+ = Ax + Bu, y = Cx (D must be zero)."""
+class KroneckerOperator:
+    """The matrix kron(P, Q), held as its two factors.
 
-    A: np.ndarray
+    With x in row-major order, A x = vec(P X Q') for X = x reshaped to
+    (P columns, Q columns): 2pq(p + q) flops for p x p and q x q
+    factors, against (pq)^2 for the dense product.  `A @ X` applies it
+    to each column of X, and `np.asarray(A)` gives the dense matrix.
+    """
+
+    P: np.ndarray
+    Q: np.ndarray
+
+    def __post_init__(self):
+        for name in ("P", "Q"):
+            val = np.ascontiguousarray(_as_matrix(getattr(self, name), name))
+            val.setflags(write=False)
+            object.__setattr__(self, name, val)
+
+    @property
+    def shape(self) -> tuple:
+        (p_rows, p_cols), (q_rows, q_cols) = self.P.shape, self.Q.shape
+        return (p_rows * q_rows, p_cols * q_cols)
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=float)
+        p, q = self.P.shape[1], self.Q.shape[1]
+        if x.ndim == 1:
+            return (self.P @ x.reshape(p, q) @ self.Q.T).ravel()
+        cols = x.shape[1]
+        PX = (self.P @ x.reshape(p, q * cols)).reshape(-1, q, cols)
+        return (self.Q @ PX).reshape(-1, cols)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.kron(self.P, self.Q).astype(
+            float if dtype is None else dtype, copy=False)
+
+
+@dataclass(frozen=True)
+class StateSpaceModel:
+    """Discrete-time LTI model x+ = Ax + Bu, y = Cx (D must be zero).
+
+    A is a dense array or a `KroneckerOperator`; an operator is checked
+    factor by factor and never made dense.
+    """
+
+    A: np.ndarray | KroneckerOperator
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray = None
 
     def __post_init__(self):
-        # contiguous, so the per-step A @ x runs on the fast BLAS path
-        A = np.ascontiguousarray(_as_matrix(self.A, "A"))
+        A = self.A
+        if isinstance(A, KroneckerOperator):
+            factors = (A.P, A.Q)
+        else:
+            # contiguous, so the per-step A @ x runs on the fast BLAS path
+            A = np.ascontiguousarray(_as_matrix(A, "A"))
+            factors = (A,)
         B = np.ascontiguousarray(
             np.asarray(self.B, dtype=float).reshape(A.shape[0], -1))
         C = np.asarray(self.C, dtype=float).reshape(-1, A.shape[0])
@@ -46,13 +97,16 @@ class StateSpaceModel:
         if D is None:
             D = np.zeros((C.shape[0], B.shape[1]))
         D = np.asarray(D, dtype=float).reshape(C.shape[0], B.shape[1])
-        if A.shape[0] != A.shape[1]:
-            raise DimensionError(f"A must be square, got {A.shape}")
-        _require_finite(A=A, B=B, C=C, D=D)
+        for factor in factors:
+            if factor.shape[0] != factor.shape[1]:
+                raise DimensionError(f"A must be square, got {factor.shape}")
+            _require_finite(A=factor)
+        _require_finite(B=B, C=C, D=D)
         if np.any(D != 0.0):
             raise ValueError("direct feedthrough D must be zero")
-        for name, val in (("A", A), ("B", B), ("C", C), ("D", D)):
+        for val in (*factors, B, C, D):
             val.setflags(write=False)
+        for name, val in (("A", A), ("B", B), ("C", C), ("D", D)):
             object.__setattr__(self, name, val)
 
     @property
@@ -204,9 +258,11 @@ class CondensedQP:
         At v = 0 the predicted signal is s_i = [x_i; u_prev; 0], where
         x_i = A x_{i-1} + B u_prev rolls the model N steps from x, and
         c + Lz = c - K s.  Equals `self.qp.bound(z)` up to rounding.
-        Cost: N n_x^2 for the rollout plus nnz(K) = N nnz(M) for the
-        selection, against n_c n_z for the dense product; a dense state
-        M therefore makes it costlier than `qp.bound`.
+        Cost: N n_x^2 for the rollout with a dense A, or N 2n^3 with a
+        Kronecker A of two n x n factors (n_x = n^2), plus
+        nnz(K) = N nnz(M) for the selection, against n_c n_z for the
+        dense product; a dense state M therefore makes it costlier than
+        `qp.bound`.
         """
         z = self.qp._check_z(z)
         lay = self.layout
@@ -217,8 +273,7 @@ class CondensedQP:
         Bu = self.model.B @ u_prev
         x = z[lay.x_offset:lay.u_prev_offset]
         for x_next in s[:, :lay.n_x]:
-            np.dot(A, x, out=x_next)
-            x_next += Bu
+            np.add(A @ x, Bu, out=x_next)
             x = x_next
         return self.qp.c - self._K @ s.ravel()
 

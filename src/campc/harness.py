@@ -19,7 +19,11 @@ Each step forms the constraint right-hand side c + Lz once, from a
 model rollout (`CondensedQP.bound`), outside every timer.  The full
 solve, the screen, the reduced solve and the re-embedding all reuse
 it, so neither the full-solve timer nor the screen and reduced-solve
-timers include it.
+timers include it.  In reduced and verify mode the screen's
+unconstrained minimizer v_uc is formed from the screener's
+precomputed map, also outside every timer; the solvers form their own.
+The rollout and the plant update only ever form A @ x, so a
+`KroneckerOperator` A (the thermal model's) runs through its factors.
 """
 from __future__ import annotations
 
@@ -159,7 +163,7 @@ def run_closed_loop(scenario: Scenario) -> RunResult:
 
         if do_reduced:
             # screening setup, also outside both timers
-            v_uc = soft.unconstrained_minimizer(z)
+            v_uc = cache.v_uc_map @ z
             v_tilde = condenser.shift_warm_start(prev, cqp, z)
 
             def solve_step(kept):

@@ -66,17 +66,22 @@ class KeptSet:
 
 @dataclass(frozen=True)
 class Screener:
-    """The per-step screen and its offline row norms zeta_j = |W_j G^-1|_2.
+    """The per-step screen and its offline data: the row norms
+    zeta_j = |W_j G^-1|_2 and the map v_uc_map = -H^-1 F.
 
     `qp` is the problem as given, a SoftQP or a CondensedQP, so that
-    c + Lz is formed the way the problem forms it.  `zero_rows` marks
-    constraint rows with a zero normal (they need the sign of
-    c_j + L_j z instead of the ellipsoid test); it is None when no such
-    row exists, which keeps the hot screening path branch-free.
+    c + Lz is formed the way the problem forms it.  `v_uc_map @ z` is
+    the unconstrained minimizer v_uc the screen needs, one
+    n_v x n_z product instead of a product with F and two triangular
+    solves.  `zero_rows` marks constraint rows with a zero normal (they
+    need the sign of c_j + L_j z instead of the ellipsoid test); it is
+    None when no such row exists, which keeps the hot screening path
+    branch-free.
     """
 
     zeta: np.ndarray
     qp: SoftQP | CondensedQP
+    v_uc_map: np.ndarray
     zero_rows: np.ndarray = None
 
     def step(self, v_tilde: np.ndarray, v_uc: np.ndarray,
@@ -125,15 +130,19 @@ class Screener:
 
 def precompute_row_norms(qp) -> Screener:
     """The Screener of `qp`, with zeta_j = |W_j G^-1|_2 via one
-    triangular solve per row."""
+    triangular solve per row and v_uc_map = -H^-1 F via the cached
+    Cholesky factor."""
     soft = _softqp(qp)
     if soft.n_c:
         Y = sla.solve_triangular(soft.G, soft.W.T, trans="T", lower=False)
         zeta = np.linalg.norm(Y, axis=0)
     else:
         zeta = np.zeros(0)
+    v_uc_map = sla.cho_solve((soft.G, False), -soft.F)
+    v_uc_map.setflags(write=False)
     zero = zeta <= 0.0
-    return Screener(zeta=zeta, qp=qp, zero_rows=zero if zero.any() else None)
+    return Screener(zeta=zeta, qp=qp, v_uc_map=v_uc_map,
+                    zero_rows=zero if zero.any() else None)
 
 
 def complete_slacks(v_tilde: np.ndarray, qp, z: np.ndarray,

@@ -4,7 +4,8 @@ A reaction-diffusion PDE on the unit square is discretized with a
 node-centered 5-point stencil and exact zero-order hold sampling.  The
 controller heats a central output region toward a ramped temperature
 target while Gaussian-shaped upper bounds constrain the temperature at
-every grid node.
+every grid node.  The sampled state matrix is kept as the Kronecker
+product of two n x n factors, never as a dense n^2 x n^2 matrix.
 """
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from campc.condenser import ConstraintBlock, StateSpaceModel, TrackingProblem
+from campc.condenser import (ConstraintBlock, KroneckerOperator,
+                             StateSpaceModel, TrackingProblem)
 
 
 @dataclass(frozen=True)
@@ -97,29 +99,38 @@ def gaussian_field(n: int, spec: GaussianSpec) -> np.ndarray:
         -d2 / (2.0 * spec.width ** 2))
 
 
+def second_difference(cfg: ThermalConfig) -> np.ndarray:
+    """The 1-d second-difference operator D1 (n x n, alpha != 0).
+
+    The Robin condition alpha dT/dn = s*T is imposed by ghost-node
+    elimination, which folds a 2*s/h term into the boundary diagonal.
+    """
+    n, h, s = cfg.n, cfg.h, cfg.boundary_sign
+    D1 = np.zeros((n, n))
+    for i in range(1, n - 1):
+        D1[i, i - 1] = D1[i, i + 1] = 1.0 / h ** 2
+        D1[i, i] = -2.0 / h ** 2
+    D1[0, 0] = -2.0 / h ** 2 + 2.0 * s / (cfg.alpha * h)
+    D1[0, 1] = 2.0 / h ** 2
+    D1[n - 1, n - 1] = -2.0 / h ** 2 + 2.0 * s / (cfg.alpha * h)
+    D1[n - 1, n - 2] = 2.0 / h ** 2
+    return D1
+
+
 def build_laplacian(cfg: ThermalConfig) -> tuple[np.ndarray, np.ndarray]:
     """Continuous-time (A_c, B_c) of the semi-discretized PDE.
 
-    The Robin condition alpha dT/dn = s*T is imposed by ghost-node
-    elimination, which folds a 2*s/h term into the boundary diagonal of
-    the 1-d second-difference operator.
+    A_c = alpha (D1 (x) I + I (x) D1) + sign * beta * I, with D1 from
+    `second_difference`.
     """
-    n, h, alpha, beta = cfg.n, cfg.h, cfg.alpha, cfg.beta
-    s = cfg.boundary_sign
-    if alpha != 0.0:
-        D1 = np.zeros((n, n))
-        for i in range(1, n - 1):
-            D1[i, i - 1] = D1[i, i + 1] = 1.0 / h ** 2
-            D1[i, i] = -2.0 / h ** 2
-        D1[0, 0] = -2.0 / h ** 2 + 2.0 * s / (alpha * h)
-        D1[0, 1] = 2.0 / h ** 2
-        D1[n - 1, n - 1] = -2.0 / h ** 2 + 2.0 * s / (alpha * h)
-        D1[n - 1, n - 2] = 2.0 / h ** 2
+    n = cfg.n
+    if cfg.alpha != 0.0:
+        D1 = second_difference(cfg)
         eye = np.eye(n)
-        A_c = alpha * (np.kron(D1, eye) + np.kron(eye, D1))
+        A_c = cfg.alpha * (np.kron(D1, eye) + np.kron(eye, D1))
     else:
         A_c = np.zeros((n * n, n * n))
-    A_c = A_c + cfg.reaction_sign * beta * np.eye(n * n)
+    A_c = A_c + cfg.reaction_sign * cfg.beta * np.eye(n * n)
     B_c = np.column_stack([gaussian_field(n, spec) for spec in cfg.loads])
     return A_c, B_c
 
@@ -141,6 +152,22 @@ def discretize_zoh(A_c: np.ndarray, B_c: np.ndarray,
     if not np.isfinite(E).all():
         raise FloatingPointError("matrix exponential did not converge")
     return E[:n, :n], E[:n, n:]
+
+
+def sampled_state_operator(cfg: ThermalConfig) -> KroneckerOperator:
+    """expm(A_c dt) as kron(e^(sign beta dt) E1, E1), E1 = expm(alpha dt D1).
+
+    The three terms of A_c commute, so the exponential of the Kronecker
+    sum factors into one n x n exponential.  With alpha = 0 both
+    factors are (scaled) identities.
+    """
+    n = cfg.n
+    if cfg.alpha != 0.0:
+        E1 = sla.expm(cfg.alpha * cfg.dt * second_difference(cfg))
+    else:
+        E1 = np.eye(n)
+    scale = np.exp(cfg.reaction_sign * cfg.beta * cfg.dt)
+    return KroneckerOperator(scale * E1, E1)
 
 
 def reference(cfg: ThermalConfig, k: int) -> np.ndarray:
@@ -165,14 +192,14 @@ def build_thermal_benchmark(
     """
     if cfg is None:
         cfg = ThermalConfig()
-    A_c, B_c = build_laplacian(cfg)
-    A, B = discretize_zoh(A_c, B_c, cfg.dt)
+    # B needs the block exponential; A comes from its Kronecker factors
+    _, B = discretize_zoh(*build_laplacian(cfg), cfg.dt)
     n_x = cfg.n_x
     n_u = B.shape[1]
     out = np.asarray(cfg.output_nodes, dtype=int)
     C = np.zeros((len(out), n_x))
     C[np.arange(len(out)), out] = 1.0
-    model = StateSpaceModel(A=A, B=B, C=C)
+    model = StateSpaceModel(A=sampled_state_operator(cfg), B=B, C=C)
 
     t_bar = gaussian_field(cfg.n, cfg.bound)
     state = ConstraintBlock(M=np.eye(n_x), g=t_bar,

@@ -8,6 +8,7 @@ from campc.condenser import (
     KIND_RATE,
     KIND_STATE,
     ConstraintBlock,
+    KroneckerOperator,
     StateSpaceModel,
     TrackingProblem,
     assemble_z,
@@ -215,6 +216,65 @@ class TestCondenseAgainstRollout:
             assert np.abs(res.eps_star).max(initial=0.0) <= 1e-7
 
 
+def _rel_err(got, want):
+    return np.abs(got - want).max(initial=0.0) / np.abs(want).max(initial=1.0)
+
+
+class TestKroneckerOperator:
+    @pytest.mark.parametrize("p", [1, 3, 20])
+    @pytest.mark.parametrize("q", [1, 3, 20])
+    def test_matches_dense_form(self, p, q):
+        rng = np.random.default_rng(p * 100 + q)
+        P, Q = rng.normal(size=(p, p)), rng.normal(size=(q, q))
+        A = KroneckerOperator(P, Q)
+        dense = np.kron(P, Q)
+        assert A.shape == dense.shape
+        assert np.array_equal(np.asarray(A), dense)
+        x = rng.normal(size=p * q)
+        X = rng.normal(size=(p * q, 4))
+        assert (A @ x).shape == (p * q,)
+        assert _rel_err(A @ x, dense @ x) <= 1e-13
+        assert (A @ X).shape == (p * q, 4)
+        assert _rel_err(A @ X, dense @ X) <= 1e-13
+        # a non-contiguous block of columns, as condense passes them
+        assert _rel_err(A @ X[:, 1:3], dense @ X[:, 1:3]) <= 1e-13
+
+    def test_condense_matches_dense_reference(self, thermal_setup):
+        model, prob, _ = thermal_setup
+        dense = StateSpaceModel(A=np.asarray(model.A), B=model.B, C=model.C)
+        got, want = condense(model, prob), condense(dense, prob)
+        for name in ("H", "F", "W", "L", "c"):
+            assert _rel_err(getattr(got.qp, name),
+                            getattr(want.qp, name)) <= 1e-13, name
+        z = np.random.default_rng(13).normal(scale=5.0, size=got.n_z)
+        assert _rel_err(got.bound(z), want.bound(z)) <= 1e-13
+
+    def test_condense_matches_dense_on_random_factors(self):
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            model, prob = _random_setup(rng)
+            p = int(rng.integers(1, 4))
+            A = KroneckerOperator(0.5 * rng.normal(size=(p, p)),
+                                  rng.normal(size=(model.n_x, model.n_x)))
+            B = np.tile(model.B, (p, 1))
+            C = np.tile(model.C, (1, p))
+            blk = prob.state_constraints
+            if blk is not None:
+                blk = ConstraintBlock(M=np.tile(blk.M, (1, p)), g=blk.g,
+                                      rho=blk.rho)
+            prob = TrackingProblem(Q=prob.Q, R=prob.R, N=prob.N,
+                                   state_constraints=blk,
+                                   input_constraints=prob.input_constraints,
+                                   rate_constraints=prob.rate_constraints)
+            got = condense(StateSpaceModel(A=A, B=B, C=C), prob)
+            want = condense(StateSpaceModel(A=np.asarray(A), B=B, C=C), prob)
+            for name in ("H", "F", "W", "L", "c"):
+                assert _rel_err(getattr(got.qp, name),
+                                getattr(want.qp, name)) <= 1e-13, name
+            z = rng.normal(size=got.n_z)
+            assert _rel_err(got.bound(z), want.bound(z)) <= 1e-13
+
+
 class TestPerStepVectors:
     def test_assemble_z_concatenates(self):
         assert np.array_equal(assemble_z([1.0], [2.0], [[3.0]]),
@@ -274,18 +334,29 @@ class TestModelValidation:
             StateSpaceModel(A=[[1.0]], B=[[1.0]], C=[[1.0]], D=[[1.0]])
 
     def test_rejects_nonsquare_a(self):
-        with pytest.raises(Exception):
-            StateSpaceModel(A=np.ones((2, 3)), B=np.ones((2, 1)),
-                            C=np.ones((1, 2)))
+        # dense, and a Kronecker operator whose 6x6 product is square
+        # although neither factor is
+        for A in (np.ones((2, 3)),
+                  KroneckerOperator(np.ones((2, 3)), np.ones((3, 2))),
+                  KroneckerOperator(np.eye(2), np.ones((3, 2)))):
+            with pytest.raises(DimensionError, match="^A must be square"):
+                StateSpaceModel(A=A, B=np.ones((A.shape[0], 1)),
+                                C=np.ones((1, A.shape[0])))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("name", ["A", "B", "C", "D"])
+    @pytest.mark.parametrize("name", ["A", "B", "C", "D", "A.P", "A.Q"])
     def test_model_rejects_non_finite(self, name, bad):
+        # "A.P" and "A.Q": A given as kron(P, Q), one factor non-finite
         mats = dict(A=np.eye(2), B=np.ones((2, 1)), C=np.ones((1, 2)),
                     D=np.zeros((1, 1)))
-        mats[name] = mats[name].copy()
-        mats[name].flat[0] = bad
-        with pytest.raises(ValueError, match=f"^{name} holds NaN or inf"):
+        factors = dict(P=np.eye(1), Q=np.eye(2))
+        key = name.split(".")[-1]
+        arrays = factors if "." in name else mats
+        arrays[key] = arrays[key].copy()
+        arrays[key].flat[0] = bad
+        if "." in name:
+            mats["A"] = KroneckerOperator(**factors)
+        with pytest.raises(ValueError, match=f"^{name[0]} holds NaN or inf"):
             StateSpaceModel(**mats)
 
     @pytest.mark.parametrize("name", ["M", "g", "rho"])

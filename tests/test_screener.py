@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from campc import thermal2d
 from campc.condenser import condense
 from campc.numqp import SoftQP, enumerate_oracle, solve_soft_qp
 from campc.screener import (
@@ -211,6 +212,35 @@ class TestScreenerStep:
         kept = precompute_row_norms(qp).step(
             np.zeros(1), qp.unconstrained_minimizer(z), qp.bound(z))
         assert list(kept.indices) == [1]
+
+
+class TestUnconstrainedMinimizerMap:
+    """`Screener.v_uc_map @ z` against `SoftQP.unconstrained_minimizer`."""
+
+    @staticmethod
+    def _rel_err(cache, qp, z):
+        want = qp.unconstrained_minimizer(z)
+        return np.abs(cache.v_uc_map @ z - want).max() / np.abs(want).max()
+
+    def test_random_stream(self):
+        # the stream of acceptance criterion 2, candidate draws included
+        rng = np.random.default_rng(100)
+        for _ in range(1000):
+            qp, z = random_soft_qp(rng)
+            rng.normal(scale=2.0, size=qp.n_v)
+            assert self._rel_err(precompute_row_norms(qp), qp, z) <= 1e-12
+
+    def test_thermal(self, thermal_setup):
+        model, prob, cfg = thermal_setup
+        cqp = condense(model, prob)
+        cache = precompute_row_norms(cqp)
+        assert cache.v_uc_map.shape == (cqp.n_v, cqp.n_z)
+        rng = np.random.default_rng(42)
+        for k in range(0, 60, 6):
+            z = np.concatenate([rng.normal(scale=5.0, size=cqp.layout.n_x),
+                                rng.uniform(size=cqp.n_u),
+                                *thermal2d.reference_window(cfg, k)])
+            assert self._rel_err(cache, cqp.qp, z) <= 1e-12
 
 
 class TestCondensedRightHandSide:

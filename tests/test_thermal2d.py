@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from campc.condenser import condense
+from campc.condenser import KroneckerOperator, condense
 from campc.thermal2d import (
     GaussianSpec,
     ThermalConfig,
@@ -13,6 +13,7 @@ from campc.thermal2d import (
     grid_coordinates,
     reference,
     reference_window,
+    sampled_state_operator,
 )
 
 
@@ -163,6 +164,41 @@ class TestBenchmarkAssembly:
     def test_discrete_model_is_stable(self, thermal_setup):
         model, _, _ = thermal_setup
         assert np.abs(np.linalg.eigvals(model.A)).max() < 1.0
+
+
+class TestSampledStateOperator:
+    """The Kronecker A against the dense A of the block exponential."""
+
+    @pytest.mark.parametrize("changes, tol", [
+        ({}, 1e-13),
+        ({"n": 3, "output_block": 1}, 1e-13),
+        ({"alpha": 0.0}, 1e-13),
+        ({"reaction_sign": 1.0}, 1e-13),
+        # an unstable boundary: |A| reaches 7e32, and the 403x403 block
+        # exponential is itself off by 3.3e-11 relative from a 40-digit
+        # reference, against 3.1e-13 for the Kronecker form
+        ({"boundary_sign": 1.0}, 1e-10),
+        ({"dt": 0.5}, 1e-13),
+    ])
+    def test_matches_block_exponential(self, changes, tol):
+        cfg = ThermalConfig(**changes)
+        model, _, _ = build_thermal_benchmark(cfg)
+        A = model.A
+        assert isinstance(A, KroneckerOperator)
+        assert A.P.shape == A.Q.shape == (cfg.n, cfg.n)
+        want, B = discretize_zoh(*build_laplacian(cfg), cfg.dt)
+        scale = np.abs(want).max()
+        assert np.abs(np.asarray(A) - want).max() <= tol * scale
+        assert np.array_equal(model.B, B)
+        x = np.random.default_rng(41).normal(size=cfg.n_x)
+        assert np.abs(A @ x - want @ x).max() <= tol * np.abs(
+            want @ x).max()
+
+    def test_no_diffusion_gives_identity_factors(self):
+        cfg = ThermalConfig(n=4, alpha=0.0, output_block=1)
+        A = sampled_state_operator(cfg)
+        assert np.array_equal(A.Q, np.eye(4))
+        assert np.array_equal(A.P, np.exp(-cfg.beta * cfg.dt) * np.eye(4))
 
 
 class TestReference:
