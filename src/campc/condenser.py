@@ -9,12 +9,14 @@ parameter vector is z = [x; u_prev; y_ref_1; ...; y_ref_N].
 
 Constraint rows read the predicted signal s_i = [x_i; u_{i-1}; du_{i-1}],
 an affine map of (z, v) from one recursion over the dynamics; a single
-sparse row selection K over s gives W, L, c, rho and the provenance in
-`condense`, and the per-step c + Lz = c - K s(z, 0) in `CondensedQP.bound`.
+sparse row selection K over s gives W, c, rho, the provenance and the
+u_prev columns of L in `condense`, and the per-step c + Lz = c - K s(z, 0)
+in `CondensedQP.bound`.  The x columns of L, and of the output error,
+come from a transposed rollout, A' applied to [C' M_state'].
 
 The model's A is a dense array or a `KroneckerOperator`; the condenser
-only ever forms A @ x, so a separable model is rolled out through its
-factors without a dense n_x x n_x matrix.
+only ever forms A @ x and A' @ x, so a separable model is rolled out
+through its factors without a dense n_x x n_x matrix.
 """
 from __future__ import annotations
 
@@ -55,14 +57,19 @@ class KroneckerOperator:
         (p_rows, p_cols), (q_rows, q_cols) = self.P.shape, self.Q.shape
         return (p_rows * q_rows, p_cols * q_cols)
 
+    @property
+    def T(self) -> KroneckerOperator:
+        """The transpose, kron(P', Q')."""
+        return KroneckerOperator(self.P.T, self.Q.T)
+
     def __matmul__(self, x):
         x = np.asarray(x, dtype=float)
         p, q = self.P.shape[1], self.Q.shape[1]
         if x.ndim == 1:
             return (self.P @ x.reshape(p, q) @ self.Q.T).ravel()
         cols = x.shape[1]
-        PX = (self.P @ x.reshape(p, q * cols)).reshape(-1, q, cols)
-        return (self.Q @ PX).reshape(-1, cols)
+        PX = (self.P @ x.reshape(p, q * cols)).reshape(len(self.P), q, cols)
+        return (self.Q @ PX).reshape(self.shape[0], cols)
 
     def __array__(self, dtype=None, copy=None):
         return np.kron(self.P, self.Q).astype(
@@ -288,13 +295,17 @@ def condense(model: StateSpaceModel, prob: TrackingProblem) -> CondensedQP:
 
     One recursion, x_i = A x_{i-1} + B u_{i-1} with
     u_{i-1} = u_{i-2} + du_{i-1}, gives the predicted signal
-    s_i = [x_i; u_{i-1}; du_{i-1}] = P_i z + V_i v for i = 1..N; only
-    the [x; u_prev] columns of P are nonzero.  The constraint rows are
-    K s with K = kron(I_N, blkdiag(M_state, M_input, M_rate)), so
-    W = K V, L = -K P, and c, rho and the provenance repeat the blocks'
-    g, rho and rows per step.  Rows are thus ordered per prediction
-    step: state rows at step i, then input rows at step i-1, then rate
-    rows at i-1, for i = 1..N.
+    s_i = [x_i; u_{i-1}; du_{i-1}] = P_i z + V_i v for i = 1..N.  It runs
+    over the [u_prev; v] columns only (n_u + n_v of them): the x
+    column of x_i is A^i, so C A^i (for F and the cost constant) and
+    M_state A^i (for L) come from the transposed rollout
+    (A')^i [C' M_state'] instead.  The constraint rows are K s with
+    K = kron(I_N, blkdiag(M_state, M_input, M_rate)), so W = K V, the
+    u_prev columns of L are -K P, its x columns -M_state A^i in the
+    state rows and zero elsewhere, and c, rho and the provenance repeat
+    the blocks' g, rho and rows per step.  Rows are thus ordered per
+    prediction step: state rows at step i, then input rows at step
+    i-1, then rate rows at i-1, for i = 1..N.
     """
     A, B, C = model.A, model.B, model.C
     n_x, n_u, n_y = model.n_x, model.n_u, model.n_y
@@ -313,26 +324,35 @@ def condense(model: StateSpaceModel, prob: TrackingProblem) -> CondensedQP:
     layout = ZLayout(n_x, n_u, n_y, N)
     n_v, n_z = N * n_u, layout.n_z
     n_xu = layout.y_ref_offset
+    M_state = blocks[0].M
+    n_s, n_rows = M_state.shape[0], sum(b.rows for b in blocks)
 
-    # S[i-1] = [P_i[:, :n_xu], V_i]: s_i over the columns [x; u_prev; v]
-    S = np.zeros((N, n_x + 2 * n_u, n_xu + n_v))
-    x = np.eye(n_x, n_xu + n_v)         # x_0 = x
-    u = np.eye(n_u, n_xu + n_v, n_x)    # u_{-1} = u_prev
+    # S[i-1] = [P_i[:, n_x:n_xu], V_i]: s_i over the columns [u_prev; v]
+    S = np.zeros((N, n_x + 2 * n_u, n_u + n_v))
+    x = np.zeros((n_x, n_u + n_v))      # x_0 = x: no [u_prev; v] term
+    u = np.eye(n_u, n_u + n_v)          # u_{-1} = u_prev
+    # (A^i)' [C' M_state']: the x-columns of C x_i and of M_state x_i
+    T = np.hstack([C.T, M_state.T])
+    A_T = A.T
     # cost: sum_i |C x_i - y_ref_i|_Q^2 + |du_{i-1}|_R^2
     H = 2.0 * np.kron(np.eye(N), R)
     F = np.zeros((n_v, n_z))
     const_quad = np.zeros((n_z, n_z))
+    Lmat = np.zeros((N * n_rows, n_z))
     for i in range(1, N + 1):
         s_x, s_u, s_du = S[i - 1, :n_x], S[i - 1, n_x:n_xu], S[i - 1, n_xu:]
-        s_du[:, n_xu + (i - 1) * n_u:n_xu + i * n_u] = np.eye(n_u)
+        s_du[:, i * n_u:(i + 1) * n_u] = np.eye(n_u)
         np.add(u, s_du, out=s_u)
         s_x[:] = A @ x + B @ s_u
         x, u = s_x, s_u
+        T = A_T @ T
+        Lmat[(i - 1) * n_rows:(i - 1) * n_rows + n_s, :n_x] = -T[:, n_y:].T
         CX = C @ x
-        CT = CX[:, n_xu:]
+        CT = CX[:, n_u:]
         # z-coefficient of the output error C x_i - y_ref_i
         Ez = np.zeros((n_y, n_z))
-        Ez[:, :n_xu] = CX[:, :n_xu]
+        Ez[:, :n_x] = T[:, :n_y].T
+        Ez[:, n_x:n_xu] = CX[:, :n_u]
         Ez[:, n_xu + (i - 1) * n_y:n_xu + i * n_y] = -np.eye(n_y)
         H += 2.0 * CT.T @ Q @ CT
         F += 2.0 * CT.T @ Q @ Ez
@@ -342,10 +362,9 @@ def condense(model: StateSpaceModel, prob: TrackingProblem) -> CondensedQP:
     M = sparse.block_diag([sparse.coo_matrix(b.M) for b in blocks])
     K = sparse.kron(sparse.identity(N), M, format="csr")
     KS = K @ S.reshape(N * S.shape[1], -1)
-    Lmat = np.zeros((K.shape[0], n_z))
-    Lmat[:, :n_xu] = -KS[:, :n_xu]
+    Lmat[:, n_x:n_xu] = -KS[:, :n_u]
     # W contiguous, so the per-step W products run on the fast BLAS path
-    qp = SoftQP(H=H, F=F, W=np.ascontiguousarray(KS[:, n_xu:]),
+    qp = SoftQP(H=H, F=F, W=np.ascontiguousarray(KS[:, n_u:]),
                 c=np.tile(np.concatenate([b.g for b in blocks]), N), L=Lmat,
                 rho=np.tile(np.concatenate([b.rho for b in blocks]), N))
     kind = np.repeat([KIND_STATE, KIND_INPUT, KIND_RATE],

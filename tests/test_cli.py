@@ -130,7 +130,12 @@ class TestMain:
         {"thermal": {"bound": {"peek": 3.0}}},
         {"thermal": {"bound": [11.5]}},
         {"thermal": {"loads": [{"center": [0.5, 0.5], "amplitude": 2.0}]}},
-        {"thermal": {"loads": [{"width": 0.0}]}}])
+        {"thermal": {"loads": [{"width": 0.0}]}},
+        {"thermal": {"q_scale": -1}}, {"thermal": {"r_scale": -1}},
+        {"thermal": {"q_scale": 0, "r_scale": 0}},
+        {"thermal": {"ref_ramp_steps": 0}},
+        {"thermal": {"beta": float("inf")}},
+        {"thermal": {"dt": float("nan")}}])
     def test_bad_config_value_exit_code(self, tmp_path, section):
         cfg = _write_yaml(tmp_path / "c.yaml", {
             "thermal": {"n": 6, "output_block": 2, "horizon": 3}, **section})

@@ -238,6 +238,9 @@ class TestKroneckerOperator:
         assert _rel_err(A @ X, dense @ X) <= 1e-13
         # a non-contiguous block of columns, as condense passes them
         assert _rel_err(A @ X[:, 1:3], dense @ X[:, 1:3]) <= 1e-13
+        assert (A @ X[:, :0]).shape == (p * q, 0)
+        assert np.array_equal(np.asarray(A.T), dense.T)
+        assert _rel_err(A.T @ X, dense.T @ X) <= 1e-13
 
     def test_condense_matches_dense_reference(self, thermal_setup):
         model, prob, _ = thermal_setup

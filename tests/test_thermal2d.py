@@ -13,7 +13,8 @@ from campc.thermal2d import (
     grid_coordinates,
     reference,
     reference_window,
-    sampled_state_operator,
+    sampled_model,
+    second_difference,
 )
 
 
@@ -167,7 +168,7 @@ class TestBenchmarkAssembly:
 
 
 class TestSampledStateOperator:
-    """The Kronecker A against the dense A of the block exponential."""
+    """The eigenbasis (A, B) against the block exponential's."""
 
     @pytest.mark.parametrize("changes, tol", [
         ({}, 1e-13),
@@ -175,8 +176,8 @@ class TestSampledStateOperator:
         ({"alpha": 0.0}, 1e-13),
         ({"reaction_sign": 1.0}, 1e-13),
         # an unstable boundary: |A| reaches 7e32, and the 403x403 block
-        # exponential is itself off by 3.3e-11 relative from a 40-digit
-        # reference, against 3.1e-13 for the Kronecker form
+        # exponential is itself the less accurate side (see
+        # test_matches_high_precision_reference)
         ({"boundary_sign": 1.0}, 1e-10),
         ({"dt": 0.5}, 1e-13),
     ])
@@ -189,16 +190,58 @@ class TestSampledStateOperator:
         want, B = discretize_zoh(*build_laplacian(cfg), cfg.dt)
         scale = np.abs(want).max()
         assert np.abs(np.asarray(A) - want).max() <= tol * scale
-        assert np.array_equal(model.B, B)
+        assert np.abs(model.B - B).max() <= tol * np.abs(B).max()
         x = np.random.default_rng(41).normal(size=cfg.n_x)
         assert np.abs(A @ x - want @ x).max() <= tol * np.abs(
             want @ x).max()
 
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_matches_high_precision_reference(self, n):
+        """A and B with boundary_sign +1 against 40-digit values.
+
+        The reference takes E1 = expm(alpha dt D1) by mpmath's Taylor
+        series, A = kron(e^(sign beta dt) E1, E1), and B = A_c^-1 (A - I)
+        B_c by a 40-digit LU solve (A_c is invertible here).  The block
+        exponential is off by 8.6e-13 (n = 5) and 1.4e-12 (n = 8) in B,
+        and by 2.0e-12 and 1.4e-12 in A.
+        """
+        mpmath = pytest.importorskip("mpmath")
+        cfg = ThermalConfig(n=n, boundary_sign=1.0, output_block=1)
+        A_c, B_c = build_laplacian(cfg)
+        with mpmath.workdps(40):
+            E1 = np.array(mpmath.expm(mpmath.matrix(
+                cfg.alpha * cfg.dt * second_difference(cfg))).tolist())
+            A = np.kron(mpmath.exp(cfg.reaction_sign * cfg.beta * cfg.dt)
+                        * E1, E1)
+            rhs = (A - np.eye(cfg.n_x)) @ B_c
+            A_c = mpmath.matrix(A_c.tolist())
+            B = np.column_stack([
+                mpmath.lu_solve(A_c, mpmath.matrix(list(col))).tolist()
+                for col in rhs.T]).astype(float)
+            A = A.astype(float)
+        got_A, got_B = sampled_model(cfg)
+        assert np.abs(np.asarray(got_A) - A).max() <= 5e-13 * np.abs(A).max()
+        assert np.abs(got_B - B).max() <= 5e-13 * np.abs(B).max()
+
     def test_no_diffusion_gives_identity_factors(self):
         cfg = ThermalConfig(n=4, alpha=0.0, output_block=1)
-        A = sampled_state_operator(cfg)
+        A, _ = sampled_model(cfg)
         assert np.array_equal(A.Q, np.eye(4))
         assert np.array_equal(A.P, np.exp(-cfg.beta * cfg.dt) * np.eye(4))
+
+    @pytest.mark.parametrize("sign, beta", [(-1.0, 0.02), (1.0, 0.02),
+                                            (1.0, 0.0)])
+    def test_no_diffusion_input_map_closed_form(self, sign, beta):
+        """alpha = 0: B = dt phi(sign beta dt) B_c, phi(x) = expm1(x)/x,
+        phi(0) = 1."""
+        cfg = ThermalConfig(n=4, alpha=0.0, beta=beta, reaction_sign=sign,
+                            dt=0.5, output_block=1)
+        _, B_c = build_laplacian(cfg)
+        x = sign * beta * cfg.dt
+        phi = np.expm1(x) / x if x else 1.0
+        _, B = sampled_model(cfg)
+        assert np.abs(B - cfg.dt * phi * B_c).max() <= 1e-15 * np.abs(
+            B_c).max()
 
 
 class TestReference:
