@@ -139,7 +139,7 @@ class ConstraintBlock:
 
     def __post_init__(self):
         M = _as_matrix(self.M, "M")
-        g = _as_vector(self.g, "g")
+        g = _as_vector(self.g)
         rho = np.asarray(self.rho, dtype=float)
         if rho.ndim == 0:
             rho = np.full(len(g), float(rho))

@@ -15,10 +15,11 @@ The solvers share one active-set loop (`_active_set`), which classes
 each row as inactive, at its boundary or violated and solves the
 equality system of those classes exactly:
 
-  solve_soft_qp     interior point method; its optimal exit is refined
-                    by the loop started from the classes the iterate
-                    suggests (the polish).  Its cost grows with the
-                    number of rows; it is the full-problem solver.
+  solve_soft_qp     interior point method with a slack s per row and
+                    eps >= 0 bounded directly; its optimal exit is
+                    refined by the loop started from the classes the
+                    iterate suggests (the polish).  Its cost grows with
+                    the number of rows; it is the full-problem solver.
   solve_active_set  the loop alone, from every row inactive, with
                     solve_soft_qp as the fallback whenever its exit is
                     not a KKT point to `tol`.  Its cost grows with the
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import dposv, dpotrs
+from scipy.linalg.lapack import dposv, dpotrf, dpotrs
 
 
 class DimensionError(ValueError):
@@ -62,9 +63,8 @@ def _as_matrix(M, name):
         raise DimensionError(f"{name} must be a 2-d array, got ndim={M.ndim}")
     return M
 
-def _as_vector(v, name):
-    v = np.asarray(v, dtype=float).ravel()
-    return v
+def _as_vector(v):
+    return np.asarray(v, dtype=float).ravel()
 
 
 def _require_finite(**arrays):
@@ -113,9 +113,9 @@ class SoftQP:
         F = _as_matrix(self.F, "F")
         n_v = H.shape[0]
         W = np.asarray(self.W, dtype=float).reshape(-1, n_v)
-        c = _as_vector(self.c, "c")
+        c = _as_vector(self.c)
         L = np.asarray(self.L, dtype=float).reshape(len(c), F.shape[1])
-        rho = _as_vector(self.rho, "rho")
+        rho = _as_vector(self.rho)
         if F.shape[0] != n_v:
             raise DimensionError(f"F has {F.shape[0]} rows, expected {n_v}")
         if len(rho) != len(c):
@@ -159,7 +159,7 @@ class SoftQP:
         return 0.5 * v @ self.H @ v + v @ (self.F @ z) + self.rho @ eps
 
     def _check_z(self, z):
-        z = _as_vector(z, "z")
+        z = _as_vector(z)
         if len(z) != self.n_z:
             raise DimensionError(f"z has length {len(z)}, expected {self.n_z}")
         return z
@@ -180,6 +180,9 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """`iterations` counts interior point iterations, or active-set
+    passes when `solve_active_set` returns its own point;
+    `kkt_residual` is the scaled residual of `_kkt_residual`."""
     v_star: np.ndarray
     eps_star: np.ndarray
     objective: float
@@ -192,15 +195,15 @@ def _kkt_residual(qp, b, g, v, eps, lam, mu):
     """Scaled max of stationarity, feasibility and complementarity."""
     scale = 1.0 + max(np.abs(g).max(initial=0.0),
                       np.abs(b).max(initial=0.0),
-                      np.abs(qp.rho).max(initial=0.0))
+                      qp.rho.max(initial=0.0))
     stat_v = qp.H @ v + g + qp.W.T @ lam
     stat_e = qp.rho - lam - mu
     viol = qp.W @ v - b - eps
-    prim = max(np.maximum(viol, 0.0).max(initial=0.0),
-               np.maximum(-eps, 0.0).max(initial=0.0),
+    prim = max(viol.max(initial=0.0),
+               -eps.min(initial=0.0),
                # dual feasibility: multipliers must stay nonnegative
-               np.maximum(-lam, 0.0).max(initial=0.0),
-               np.maximum(-mu, 0.0).max(initial=0.0))
+               -lam.min(initial=0.0),
+               -mu.min(initial=0.0))
     comp = max(np.abs(lam * viol).max(initial=0.0),
                np.abs(mu * eps).max(initial=0.0))
     stat = max(np.abs(stat_v).max(initial=0.0),
@@ -213,17 +216,17 @@ def solve_soft_qp(qp: SoftQP, z: np.ndarray,
                   rhs: np.ndarray | None = None) -> SolveResult:
     """Mehrotra predictor-corrector interior point method on (v, eps).
 
-    Inequalities are handled through positive slacks s (constraint rows)
-    and t (eps >= 0); eps itself is eliminated from the Newton system,
-    leaving an n_v x n_v condensed KKT matrix per iteration.  `rhs` may
-    carry a precomputed c + Lz.  An optimal exit is refined by an
-    active-set polish, which the exactness of screening relies on.
+    Each row gets a slack s with multiplier lam, and eps >= 0 is bounded
+    directly, with multiplier mu; eps is eliminated from the Newton
+    system, leaving an n_v x n_v condensed KKT matrix per iteration.
+    `rhs` may carry a precomputed c + Lz.  An optimal exit is refined by
+    an active-set polish, which the exactness of screening relies on.
     """
     if opts is None:
         opts = SolverOptions()
     z = qp._check_z(z)
     g = qp.F @ z
-    n_v, n_c = qp.n_v, qp.n_c
+    n_c = qp.n_c
     if rhs is not None:
         rhs = _checked_rhs(qp, rhs)
 
@@ -243,13 +246,11 @@ def solve_soft_qp(qp: SoftQP, z: np.ndarray,
     viol = W @ v - b
     eps = np.maximum(viol, 0.0) + 1.0
     s = eps - viol          # >= 1 by construction
-    t = eps.copy()
     lam = np.ones(n_c)
     mu = np.ones(n_c)
 
     ftb = 0.995     # fraction of the distance to the boundary a step covers
     status = MAX_ITERATIONS
-    it = 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for it in range(1, opts.max_iterations + 1):
             kkt = _kkt_residual(qp, b, g, v, eps, lam, mu)
@@ -260,31 +261,27 @@ def solve_soft_qp(qp: SoftQP, z: np.ndarray,
             r_v = H @ v + g + W.T @ lam
             r_e = delta * eps + rho - lam - mu
             r_p = W @ v - b - eps + s
-            r_t = t - eps
 
-            # eliminate (eps, mu, s, t); all denominators stay positive
-            a = t / (mu + delta * t)
+            # eliminate (eps, mu, s); all denominators stay positive
+            m_e = mu + delta * eps
+            a = eps / m_e
             denom = lam * a + s
             Dinv = lam / denom
-            try:
-                K = H + (W.T * Dinv) @ W
-                if not np.isfinite(K).all():
-                    raise np.linalg.LinAlgError("non-finite KKT matrix")
-                Kfac = sla.cho_factor(K, lower=False)
-            except (np.linalg.LinAlgError, ValueError):
+            K = H + (W.T * Dinv) @ W
+            Kfac, info = dpotrf(K) if np.isfinite(K).all() else (None, 1)
+            if info:
                 status = NUMERICAL_FAILURE
                 break
 
             def newton(rc1, rc2):
-                e0 = (rc2 - t * r_e + mu * r_t) / (mu + delta * t)
+                e0 = (rc2 - eps * r_e) / m_e
                 coef = (lam * (r_p - e0) + rc1) / denom
-                dv = sla.cho_solve(Kfac, -r_v - W.T @ coef)
+                dv, _ = dpotrs(Kfac, -r_v - W.T @ coef)
                 dlam = Dinv * (W @ dv) + coef
                 deps = a * dlam + e0
                 dmu = r_e + delta * deps - dlam
                 ds = -r_p - W @ dv + deps
-                dt = deps - r_t
-                return dv, deps, dlam, dmu, ds, dt
+                return dv, deps, dlam, dmu, ds
 
             def max_step(x, dx):
                 neg = dx < 0
@@ -293,38 +290,37 @@ def solve_soft_qp(qp: SoftQP, z: np.ndarray,
                 return min(1.0, float((-ftb * x[neg] / dx[neg]).min()))
 
             # predictor: aim at complementarity zero
-            aff = newton(-lam * s, -mu * t)
-            dv, deps, dlam, dmu, ds, dt = aff
-            ap = min(max_step(s, ds), max_step(t, dt))
+            dv, deps, dlam, dmu, ds = newton(-lam * s, -mu * eps)
+            ap = min(max_step(s, ds), max_step(eps, deps))
             ad = min(max_step(lam, dlam), max_step(mu, dmu))
-            mu_now = (lam @ s + mu @ t) / (2 * n_c)
+            mu_now = (lam @ s + mu @ eps) / (2 * n_c)
             mu_aff = ((lam + ad * dlam) @ (s + ap * ds)
-                      + (mu + ad * dmu) @ (t + ap * dt)) / (2 * n_c)
+                      + (mu + ad * dmu) @ (eps + ap * deps)) / (2 * n_c)
             sigma = (max(mu_aff, 0.0) / mu_now) ** 3 if mu_now > 0 else 0.0
 
-            # corrector with centering
+            # corrector with centering, from the predictor's step
             target = sigma * mu_now
-            dv, deps, dlam, dmu, ds, dt = newton(
-                target - lam * s - aff[2] * aff[4],
-                target - mu * t - aff[3] * aff[5])
-            ap = min(max_step(s, ds), max_step(t, dt))
+            dv, deps, dlam, dmu, ds = newton(
+                target - lam * s - dlam * ds,
+                target - mu * eps - dmu * deps)
+            ap = min(max_step(s, ds), max_step(eps, deps))
             ad = min(max_step(lam, dlam), max_step(mu, dmu))
 
             v = v + ap * dv
             eps = eps + ap * deps
             s = s + ap * ds
-            t = t + ap * dt
             lam = lam + ad * dlam
             mu = mu + ad * dmu
 
-            if (not np.isfinite(v).all() or s.min() <= 0 or t.min() <= 0
+            if (not np.isfinite(v).all() or s.min() <= 0 or eps.min() <= 0
                     or lam.min() <= 0 or mu.min() <= 0):
                 status = NUMERICAL_FAILURE
                 break
 
-    kkt = _kkt_residual(qp, b, g, v, eps, lam, mu)
-    if status != NUMERICAL_FAILURE and kkt <= opts.tol:
-        status = OPTIMAL
+    if status != OPTIMAL:   # an optimal break holds this point's residual
+        kkt = _kkt_residual(qp, b, g, v, eps, lam, mu)
+        if status == MAX_ITERATIONS and kkt <= opts.tol:
+            status = OPTIMAL
     if status == OPTIMAL:
         # polish: the active set started from the classes the iterate
         # suggests, comparing each primal quantity with its dual partner;
@@ -332,7 +328,7 @@ def solve_soft_qp(qp: SoftQP, z: np.ndarray,
         # separate at loose tolerances, and is kept only if its KKT
         # residual is no larger
         active = s < lam                 # at its boundary or violated
-        pinned = active & (t > mu)       # slack strictly positive
+        pinned = active & (eps > mu)     # slack strictly positive
         out = _active_set(qp, b, g, active & ~pinned, pinned)
         if out is not None:
             v_p, eps_p, lam_p, _ = out
@@ -376,13 +372,14 @@ def solve_active_set(qp: SoftQP, z: np.ndarray,
 
 
 def _checked_rhs(qp, rhs):
-    rhs = _as_vector(rhs, "rhs")
+    rhs = _as_vector(rhs)
     if len(rhs) != qp.n_c:
         raise DimensionError(
             f"rhs has length {len(rhs)}, expected {qp.n_c}")
     return rhs
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _active_set(qp, b, g, eq, pinned):
     """Active-set loop over the classes of the soft QP's rows.
 
@@ -476,7 +473,7 @@ def enumerate_oracle(qp: SoftQP, z: np.ndarray) -> SolveResult:
     z = qp._check_z(z)
     g = qp.F @ z
     n_v, n_c = qp.n_v, qp.n_c
-    H, W, rho = qp.H, qp.W, qp.rho
+    rho = qp.rho
     b = qp.bound(z)
     scale = 1.0 + max(np.abs(g).max(initial=0.0), np.abs(b).max(initial=0.0),
                       np.abs(rho).max(initial=0.0))

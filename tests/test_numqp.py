@@ -4,6 +4,7 @@ import pytest
 from campc import numqp
 from campc.numqp import (
     MAX_ITERATIONS,
+    NUMERICAL_FAILURE,
     OPTIMAL,
     DimensionError,
     NotPositiveDefiniteError,
@@ -113,23 +114,38 @@ class TestUnconstrainedMinimizer:
             scalar_qp().unconstrained_minimizer([1.0, 2.0])
 
 
+def _overflowing_qp():
+    """Rows of norm 1e200: W'W, and so the first Newton matrix and the
+    active set's Schur complement, overflow."""
+    return SoftQP(H=[[1.0]], F=[[1.0]], W=[[1e200], [-1e200]], c=[0.0, 0.0],
+                  L=[[0.0], [0.0]], rho=[1.0, 1.0])
+
+
 class TestSolveSoftQP:
     def test_active_constraint_with_large_penalty(self):
         res = solve_soft_qp(scalar_qp(c=0.5, rho=10.0), [-1.0])
         assert res.status == OPTIMAL
+        assert res.iterations == 7
         assert np.allclose(res.v_star, [0.5], atol=1e-7)
         assert np.allclose(res.eps_star, [0.0], atol=1e-7)
 
     def test_violated_constraint_with_small_penalty(self):
         res = solve_soft_qp(scalar_qp(c=0.5, rho=0.5), [-1.0])
         assert res.status == OPTIMAL
+        assert res.iterations == 7
         assert np.allclose(res.v_star, [0.75], atol=1e-7)
         assert np.allclose(res.eps_star, [0.25], atol=1e-7)
 
     def test_inactive_constraint(self):
         res = solve_soft_qp(scalar_qp(c=5.0, rho=1.0), [-1.0])
+        assert res.iterations == 5
         assert np.allclose(res.v_star, [1.0], atol=1e-7)
         assert np.allclose(res.eps_star, [0.0], atol=1e-7)
+
+    def test_newton_failure_is_reported(self):
+        res = solve_soft_qp(_overflowing_qp(), [1.0])
+        assert res.status == NUMERICAL_FAILURE
+        assert res.iterations == 1
 
     def test_no_constraints(self):
         qp = SoftQP(H=[[2.0]], F=[[2.0]], W=np.zeros((0, 1)), c=[],
@@ -290,6 +306,13 @@ class TestSolveActiveSet:
             assert np.abs(got.v_star - want.v_star).max() <= 1e-6 * (
                 1.0 + np.abs(want.v_star).max())
         assert capped
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_falls_back_without_warning(self):
+        # the loop's failed solve must not warn, or with warnings as
+        # errors it would raise before the fallback runs
+        qp = _overflowing_qp()
+        _same_result(solve_active_set(qp, [1.0]), solve_soft_qp(qp, [1.0]))
 
     def test_no_rows_matches_solve_soft_qp(self):
         qp = SoftQP(H=[[2.0, 1.0], [1.0, 2.0]], F=np.eye(2),
