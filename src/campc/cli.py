@@ -247,6 +247,8 @@ def _run_scenario(scenario: harness.Scenario, out_dir) -> int:
 def cmd_selftest(args) -> int:
     if args.instances < 1:
         raise ConfigError(f"--instances must be >= 1, got {args.instances}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     failures = []
 

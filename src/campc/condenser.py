@@ -9,10 +9,10 @@ parameter vector is z = [x; u_prev; y_ref_1; ...; y_ref_N].
 
 Constraint rows read the predicted signal s_i = [x_i; u_{i-1}; du_{i-1}],
 an affine map of (z, v) from one recursion over the dynamics; a single
-sparse row selection K over s gives W, c, rho, the provenance and the
-u_prev columns of L in `condense`, and the per-step c + Lz = c - K s(z, 0)
-in `CondensedQP.bound`.  The x columns of L, and of the output error,
-come from a transposed rollout, A' applied to [C' M_state'].
+sparse row selection K over s gives W, c, rho and the provenance in
+`condense`, and the per-step c + Lz = c - K s(z, 0) in
+`CondensedQP.bound`, so no dense L is formed.  The x columns of F come
+from a transposed rollout, A' applied to C'.
 
 The model's A is a dense array or a `KroneckerOperator`; the condenser
 only ever forms A @ x and A' @ x, so a separable model is rolled out
@@ -226,30 +226,25 @@ class Provenance:
         return len(self.kind)
 
 
-@dataclass(frozen=True)
-class CondensedQP:
-    """SoftQP produced by condensing, plus structural metadata."""
+@dataclass(frozen=True, kw_only=True)
+class CondensedQP(SoftQP):
+    """SoftQP produced by condensing, plus structural metadata.
 
-    qp: SoftQP
+    L is None: z enters only through F and the model's free response,
+    which gives c + Lz (`bound`) and the dropped cost (`cost_constant`).
+    """
+
     model: StateSpaceModel
+    problem: TrackingProblem
     layout: ZLayout
     provenance: Provenance
-    # z-only cost constant z' _const_quad z (dropped from the QP)
-    _const_quad: np.ndarray = None
     # K: the constraint rows over the predicted signal s = [s_1; ...; s_N]
-    _K: sparse.csr_matrix = None
+    _K: sparse.csr_matrix
 
     @property
-    def n_v(self) -> int:
-        return self.qp.n_v
-
-    @property
-    def n_c(self) -> int:
-        return self.qp.n_c
-
-    @property
-    def n_z(self) -> int:
-        return self.qp.n_z
+    def qp(self) -> CondensedQP:
+        """The problem itself, for callers that unwrap `cqp.qp`."""
+        return self
 
     @property
     def n_u(self) -> int:
@@ -259,19 +254,9 @@ class CondensedQP:
     def N(self) -> int:
         return self.layout.N
 
-    def bound(self, z: np.ndarray) -> np.ndarray:
-        """Constraint right-hand side c + Lz, without reading L.
-
-        At v = 0 the predicted signal is s_i = [x_i; u_prev; 0], where
-        x_i = A x_{i-1} + B u_prev rolls the model N steps from x, and
-        c + Lz = c - K s.  Equals `self.qp.bound(z)` up to rounding.
-        Cost: N n_x^2 for the rollout with a dense A, or N 2n^3 with a
-        Kronecker A of two n x n factors (n_x = n^2), plus
-        nnz(K) = N nnz(M) for the selection, against n_c n_z for the
-        dense product; a dense state M therefore makes it costlier than
-        `qp.bound`.
-        """
-        z = self.qp._check_z(z)
+    def _free_response(self, z):
+        """s_i = [x_i; u_prev; 0] at v = 0, rolling x_i = A x_{i-1} +
+        B u_prev N steps from x; one row per step."""
         lay = self.layout
         u_prev = z[lay.u_prev_offset:lay.y_ref_offset]
         s = np.zeros((lay.N, lay.n_x + 2 * lay.n_u))
@@ -282,12 +267,27 @@ class CondensedQP:
         for x_next in s[:, :lay.n_x]:
             np.add(A @ x, Bu, out=x_next)
             x = x_next
-        return self.qp.c - self._K @ s.ravel()
+        return s
+
+    def bound(self, z: np.ndarray) -> np.ndarray:
+        """Constraint right-hand side c + Lz = c - K s(z, 0).
+
+        Cost: N n_x^2 for the rollout with a dense A, or N 2n^3 with a
+        Kronecker A of two n x n factors (n_x = n^2), plus
+        nnz(K) = N nnz(M) for the selection, against n_c n_z for a
+        dense product with L.
+        """
+        s = self._free_response(self._check_z(z))
+        return self.c - self._K @ s.ravel()
 
     def cost_constant(self, z: np.ndarray) -> float:
-        """z-dependent constant dropped from the condensed objective."""
-        z = np.asarray(z, dtype=float).ravel()
-        return float(z @ self._const_quad @ z)
+        """z-only constant dropped from the condensed objective: the
+        output error of the free response, sum_i |C x_i - y_ref_i|_Q^2."""
+        z = self._check_z(z)
+        lay = self.layout
+        x = self._free_response(z)[:, :lay.n_x]
+        err = x @ self.model.C.T - z[lay.y_ref_offset:].reshape(lay.N, lay.n_y)
+        return float(np.sum((err @ self.problem.Q) * err))
 
 
 def condense(model: StateSpaceModel, prob: TrackingProblem) -> CondensedQP:
@@ -297,15 +297,14 @@ def condense(model: StateSpaceModel, prob: TrackingProblem) -> CondensedQP:
     u_{i-1} = u_{i-2} + du_{i-1}, gives the predicted signal
     s_i = [x_i; u_{i-1}; du_{i-1}] = P_i z + V_i v for i = 1..N.  It runs
     over the [u_prev; v] columns only (n_u + n_v of them): the x
-    column of x_i is A^i, so C A^i (for F and the cost constant) and
-    M_state A^i (for L) come from the transposed rollout
-    (A')^i [C' M_state'] instead.  The constraint rows are K s with
-    K = kron(I_N, blkdiag(M_state, M_input, M_rate)), so W = K V, the
-    u_prev columns of L are -K P, its x columns -M_state A^i in the
-    state rows and zero elsewhere, and c, rho and the provenance repeat
-    the blocks' g, rho and rows per step.  Rows are thus ordered per
-    prediction step: state rows at step i, then input rows at step
-    i-1, then rate rows at i-1, for i = 1..N.
+    column of x_i is A^i, so C A^i (for F) comes from the transposed
+    rollout (A')^i C' instead.  The constraint rows are K s with
+    K = kron(I_N, blkdiag(M_state, M_input, M_rate)), so W = K V, and
+    c, rho and the provenance repeat the blocks' g, rho and rows per
+    step.  Rows are thus ordered per prediction step: state rows at
+    step i, then input rows at step i-1, then rate rows at i-1, for
+    i = 1..N.  The z-only terms, c + Lz = c - K P z and the cost
+    constant, are left to the rollout in `CondensedQP`.
     """
     A, B, C = model.A, model.B, model.C
     n_x, n_u, n_y = model.n_x, model.n_u, model.n_y
@@ -324,21 +323,16 @@ def condense(model: StateSpaceModel, prob: TrackingProblem) -> CondensedQP:
     layout = ZLayout(n_x, n_u, n_y, N)
     n_v, n_z = N * n_u, layout.n_z
     n_xu = layout.y_ref_offset
-    M_state = blocks[0].M
-    n_s, n_rows = M_state.shape[0], sum(b.rows for b in blocks)
 
     # S[i-1] = [P_i[:, n_x:n_xu], V_i]: s_i over the columns [u_prev; v]
     S = np.zeros((N, n_x + 2 * n_u, n_u + n_v))
     x = np.zeros((n_x, n_u + n_v))      # x_0 = x: no [u_prev; v] term
     u = np.eye(n_u, n_u + n_v)          # u_{-1} = u_prev
-    # (A^i)' [C' M_state']: the x-columns of C x_i and of M_state x_i
-    T = np.hstack([C.T, M_state.T])
+    T = np.ascontiguousarray(C.T)       # (A^i)' C': the x columns of C x_i
     A_T = A.T
     # cost: sum_i |C x_i - y_ref_i|_Q^2 + |du_{i-1}|_R^2
     H = 2.0 * np.kron(np.eye(N), R)
     F = np.zeros((n_v, n_z))
-    const_quad = np.zeros((n_z, n_z))
-    Lmat = np.zeros((N * n_rows, n_z))
     for i in range(1, N + 1):
         s_x, s_u, s_du = S[i - 1, :n_x], S[i - 1, n_x:n_xu], S[i - 1, n_xu:]
         s_du[:, i * n_u:(i + 1) * n_u] = np.eye(n_u)
@@ -346,35 +340,32 @@ def condense(model: StateSpaceModel, prob: TrackingProblem) -> CondensedQP:
         s_x[:] = A @ x + B @ s_u
         x, u = s_x, s_u
         T = A_T @ T
-        Lmat[(i - 1) * n_rows:(i - 1) * n_rows + n_s, :n_x] = -T[:, n_y:].T
         CX = C @ x
         CT = CX[:, n_u:]
         # z-coefficient of the output error C x_i - y_ref_i
         Ez = np.zeros((n_y, n_z))
-        Ez[:, :n_x] = T[:, :n_y].T
+        Ez[:, :n_x] = T.T
         Ez[:, n_x:n_xu] = CX[:, :n_u]
         Ez[:, n_xu + (i - 1) * n_y:n_xu + i * n_y] = -np.eye(n_y)
         H += 2.0 * CT.T @ Q @ CT
         F += 2.0 * CT.T @ Q @ Ez
-        const_quad += Ez.T @ Q @ Ez
 
     # coo_matrix keeps only the nonzeros of each dense M
     M = sparse.block_diag([sparse.coo_matrix(b.M) for b in blocks])
     K = sparse.kron(sparse.identity(N), M, format="csr")
-    KS = K @ S.reshape(N * S.shape[1], -1)
-    Lmat[:, n_x:n_xu] = -KS[:, :n_u]
-    # W contiguous, so the per-step W products run on the fast BLAS path
-    qp = SoftQP(H=H, F=F, W=np.ascontiguousarray(KS[:, n_u:]),
-                c=np.tile(np.concatenate([b.g for b in blocks]), N), L=Lmat,
-                rho=np.tile(np.concatenate([b.rho for b in blocks]), N))
     kind = np.repeat([KIND_STATE, KIND_INPUT, KIND_RATE],
                      [b.rows for b in blocks])
     # state rows belong to step i, input and rate rows to step i-1
     step = np.repeat(np.arange(N), len(kind)) + np.tile(kind == KIND_STATE, N)
     row = np.concatenate([np.arange(b.rows) for b in blocks])
-    prov = Provenance(np.tile(kind, N), step, np.tile(row, N))
-    return CondensedQP(qp=qp, model=model, layout=layout, provenance=prov,
-                       _const_quad=const_quad, _K=K)
+    KS = K @ S.reshape(N * S.shape[1], -1)
+    # W contiguous, so the per-step W products run on the fast BLAS path
+    return CondensedQP(
+        H=H, F=F, W=np.ascontiguousarray(KS[:, n_u:]),
+        c=np.tile(np.concatenate([b.g for b in blocks]), N), L=None,
+        rho=np.tile(np.concatenate([b.rho for b in blocks]), N),
+        model=model, problem=prob, layout=layout,
+        provenance=Provenance(np.tile(kind, N), step, np.tile(row, N)), _K=K)
 
 
 def assemble_z(x: np.ndarray, u_prev: np.ndarray, y_refs,
@@ -411,7 +402,7 @@ def shift_warm_start(prev: SolveResult | None, qp: CondensedQP,
     the unconstrained minimizer.
     """
     if prev is None:
-        return qp.qp.unconstrained_minimizer(z)
+        return qp.unconstrained_minimizer(z)
     n_u = qp.n_u
     v_prev = np.asarray(prev.v_star, dtype=float).ravel()
     if len(v_prev) != qp.n_v:

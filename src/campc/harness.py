@@ -124,11 +124,10 @@ def run_closed_loop(scenario: Scenario) -> RunResult:
     does not reach optimality.
     """
     cqp = condenser.condense(scenario.model, scenario.problem)
-    soft = cqp.qp
     cache = screener.precompute_row_norms(cqp)
     A, B = scenario.model.A, scenario.model.B
     C = scenario.model.C
-    n_c = soft.n_c
+    n_c = cqp.n_c
     clock = time.perf_counter
 
     x = scenario.x0.copy()
@@ -153,7 +152,7 @@ def run_closed_loop(scenario: Scenario) -> RunResult:
         res_full = None
         if do_full:
             res_full, t_full = _timed(
-                lambda: solve_soft_qp(soft, z, scenario.options, rhs=rhs),
+                lambda: solve_soft_qp(cqp, z, scenario.options, rhs=rhs),
                 repeats, clock)
             if full_mode:
                 trace.t_solve_s = t_full
@@ -190,7 +189,7 @@ def run_closed_loop(scenario: Scenario) -> RunResult:
         x = A @ x + B @ u
         trace.objective = float(result.objective)
         trace.y_max = float((C @ x).max()) if C.shape[0] else 0.0
-        trace.eps_penalty = float(soft.rho @ result.eps_star)
+        trace.eps_penalty = float(cqp.rho @ result.eps_star)
         trace.u = u.copy()
         traces.append(trace)
         states.append(x.copy())

@@ -97,7 +97,8 @@ class SoftQP:
     """Data of a soft-constrained QP; immutable after construction.
 
     The Cholesky factor G of H (upper triangular, H = G'G) is computed
-    once and cached.
+    once and cached.  L may be None (`CondensedQP`); c + Lz is then
+    formed by a subclass or passed to the solvers as `rhs`.
     """
 
     H: np.ndarray
@@ -114,8 +115,11 @@ class SoftQP:
         n_v = H.shape[0]
         W = np.asarray(self.W, dtype=float).reshape(-1, n_v)
         c = _as_vector(self.c)
-        L = np.asarray(self.L, dtype=float).reshape(len(c), F.shape[1])
         rho = _as_vector(self.rho)
+        data = dict(H=H, F=F, W=W, c=c, rho=rho)
+        if self.L is not None:
+            data["L"] = np.asarray(self.L, dtype=float).reshape(
+                len(c), F.shape[1])
         if F.shape[0] != n_v:
             raise DimensionError(f"F has {F.shape[0]} rows, expected {n_v}")
         if len(rho) != len(c):
@@ -126,10 +130,10 @@ class SoftQP:
         if self.G is None:
             # a supplied G comes from a checked problem (`reduce_qp`), so
             # the per-step reduced QP skips this pass over its data
-            _require_finite(H=H, F=F, W=W, c=c, L=L, rho=rho)
-        G = self.G if self.G is not None else cholesky_factor(H)
-        for name, val in (("H", H), ("F", F), ("W", W), ("c", c),
-                          ("L", L), ("rho", rho), ("G", np.asarray(G))):
+            _require_finite(**data)
+        data["G"] = np.asarray(
+            self.G if self.G is not None else cholesky_factor(H))
+        for name, val in data.items():
             val.setflags(write=False)
             object.__setattr__(self, name, val)
 
@@ -148,12 +152,16 @@ class SoftQP:
     def bound(self, z: np.ndarray) -> np.ndarray:
         """Constraint right-hand side c + Lz."""
         z = self._check_z(z)
+        if self.L is None:
+            raise DimensionError("problem holds no L: pass c + Lz as rhs")
         return self.c + self.L @ z
 
     def unconstrained_minimizer(self, z: np.ndarray) -> np.ndarray:
-        """Solve H v = -Fz through the cached Cholesky factor."""
+        """Solve H v = -Fz through the cached Cholesky factor; an Fz that
+        overflows gives a non-finite v, not an error."""
         z = self._check_z(z)
-        return sla.cho_solve((self.G, False), -self.F @ z)
+        return sla.cho_solve((self.G, False), -self.F @ z,
+                             check_finite=False)
 
     def objective(self, v: np.ndarray, eps: np.ndarray, z: np.ndarray) -> float:
         return 0.5 * v @ self.H @ v + v @ (self.F @ z) + self.rho @ eps
@@ -221,37 +229,33 @@ def solve_soft_qp(qp: SoftQP, z: np.ndarray,
     system, leaving an n_v x n_v condensed KKT matrix per iteration.
     `rhs` may carry a precomputed c + Lz.  An optimal exit is refined by
     an active-set polish, which the exactness of screening relies on.
+    If Fz, c + Lz or the start holds NaN or inf (an overflow), the
+    result is `NumericalFailure` after 0 iterations.
     """
     if opts is None:
         opts = SolverOptions()
     z = qp._check_z(z)
-    g = qp.F @ z
     n_c = qp.n_c
-    if rhs is not None:
-        rhs = _checked_rhs(qp, rhs)
-
-    if n_c == 0:
-        v = qp.unconstrained_minimizer(z)
-        eps = np.zeros(0)
-        res = np.abs(qp.H @ v + g).max(initial=0.0) / (1.0 + np.abs(g).max(initial=0.0))
-        return SolveResult(v, eps, qp.objective(v, eps, z), OPTIMAL, 0, res)
-
     H, W, rho = qp.H, qp.W, qp.rho
-    b = qp.bound(z) if rhs is None else rhs
     # tiny curvature on the slack block; the (v, eps) Hessian is only PSD
     delta = 1e-10
-
-    # strictly interior start: slack/dual pairs at >= 1
-    v = qp.unconstrained_minimizer(z)
-    viol = W @ v - b
-    eps = np.maximum(viol, 0.0) + 1.0
-    s = eps - viol          # >= 1 by construction
-    lam = np.ones(n_c)
-    mu = np.ones(n_c)
-
     ftb = 0.995     # fraction of the distance to the boundary a step covers
     status = MAX_ITERATIONS
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # strictly interior start: slack/dual pairs at >= 1
+        g = qp.F @ z
+        b = qp.bound(z) if rhs is None else _checked_rhs(qp, rhs)
+        v = sla.cho_solve((qp.G, False), -g, check_finite=False)
+        viol = W @ v - b
+        eps = np.maximum(viol, 0.0) + 1.0
+        s = eps - viol          # >= 1 by construction
+        if not all(np.isfinite(a).all() for a in (g, b, v, s)):
+            return SolveResult(v, eps, np.nan, NUMERICAL_FAILURE, 0, np.inf)
+        if n_c == 0:
+            res = np.abs(H @ v + g).max(initial=0.0) / (1.0 + np.abs(g).max(initial=0.0))
+            return SolveResult(v, eps, qp.objective(v, eps, z), OPTIMAL, 0, res)
+        lam = np.ones(n_c)
+        mu = np.ones(n_c)
         for it in range(1, opts.max_iterations + 1):
             kkt = _kkt_residual(qp, b, g, v, eps, lam, mu)
             if kkt <= opts.tol:
@@ -350,16 +354,17 @@ def solve_active_set(qp: SoftQP, z: np.ndarray,
     reached its pass cap or met a failed solve) the interior point
     method solves the problem and its result is returned.  Cheapest on
     small problems with few active rows, such as a screened problem.
-    `rhs` may carry a precomputed c + Lz; with no rows this is the
-    closed form of `solve_soft_qp`.
+    `rhs` may carry a precomputed c + Lz; with no rows, or when Fz or
+    c + Lz holds NaN or inf, the result is that of `solve_soft_qp`.
     """
     if opts is None:
         opts = SolverOptions()
     if qp.n_c == 0:
         return solve_soft_qp(qp, z, opts, rhs=rhs)
     z = qp._check_z(z)
-    b = qp.bound(z) if rhs is None else _checked_rhs(qp, rhs)
-    g = qp.F @ z
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = qp.bound(z) if rhs is None else _checked_rhs(qp, rhs)
+        g = qp.F @ z
     out = _active_set(qp, b, g, np.zeros(qp.n_c, dtype=bool),
                       np.zeros(qp.n_c, dtype=bool))
     if out is not None:
@@ -395,8 +400,11 @@ def _active_set(qp, b, g, eq, pinned):
     in place.
 
     Returns (v, eps, lam, passes) of the last solve, or None if a solve
-    failed; the caller judges the point by its KKT residual.
+    failed or b or g holds NaN or inf; the caller judges the point by
+    its KKT residual.
     """
+    if not (np.isfinite(b).all() and np.isfinite(g).all()):
+        return None
     W, rho, G = qp.W, qp.rho, qp.G
     n_v, n_c = qp.n_v, qp.n_c
     tiny = 1e-11 * (1.0 + np.abs(b).max(initial=0.0))

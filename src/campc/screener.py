@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from campc.condenser import CondensedQP
 from campc.numqp import DimensionError, SoftQP, SolveResult
 
 
@@ -23,10 +22,6 @@ REMOVED_SLACK_TOL = 1e-7
 
 class EquivalenceViolation(RuntimeError):
     """A removed constraint is violated by the reduced minimizer."""
-
-
-def _softqp(qp) -> SoftQP:
-    return qp.qp if isinstance(qp, CondensedQP) else qp
 
 
 @dataclass(frozen=True)
@@ -69,8 +64,8 @@ class Screener:
     """The per-step screen and its offline data: the row norms
     zeta_j = |W_j G^-1|_2 and the map v_uc_map = -H^-1 F.
 
-    `qp` is the problem as given, a SoftQP or a CondensedQP, so that
-    c + Lz is formed the way the problem forms it.  `v_uc_map @ z` is
+    `qp.bound` forms c + Lz the way the problem forms it: a
+    `CondensedQP` from its rollout.  `v_uc_map @ z` is
     the unconstrained minimizer v_uc the screen needs, one
     n_v x n_z product instead of a product with F and two triangular
     solves.  `zero_rows` marks constraint rows with a zero normal (they
@@ -80,7 +75,7 @@ class Screener:
     """
 
     zeta: np.ndarray
-    qp: SoftQP | CondensedQP
+    qp: SoftQP
     v_uc_map: np.ndarray
     zero_rows: np.ndarray = None
 
@@ -95,13 +90,13 @@ class Screener:
         enters only through W q, so it is formed in constraint-row
         space.
         """
-        soft = _softqp(self.qp)
-        Wvt = soft.W @ v_tilde
-        Wvu = soft.W @ v_uc
+        qp = self.qp
+        Wvt = qp.W @ v_tilde
+        Wvu = qp.W @ v_uc
         eps_tilde = Wvt - rhs
         np.maximum(eps_tilde, 0.0, out=eps_tilde)
-        Gd = soft.G @ (v_tilde - v_uc)
-        sigma = float(soft.rho @ eps_tilde + 0.25 * (Gd @ Gd))
+        Gd = qp.G @ (v_tilde - v_uc)
+        sigma = float(qp.rho @ eps_tilde + 0.25 * (Gd @ Gd))
         Wvt += Wvu
         Wvt *= 0.5
         return self._keep(sigma, eps_tilde, rhs, Wvt)
@@ -128,54 +123,51 @@ class Screener:
         return kept
 
 
-def precompute_row_norms(qp) -> Screener:
+def precompute_row_norms(qp: SoftQP) -> Screener:
     """The Screener of `qp`, with zeta_j = |W_j G^-1|_2 via one
     triangular solve per row and v_uc_map = -H^-1 F via the cached
     Cholesky factor."""
-    soft = _softqp(qp)
-    if soft.n_c:
-        Y = sla.solve_triangular(soft.G, soft.W.T, trans="T", lower=False)
+    if qp.n_c:
+        Y = sla.solve_triangular(qp.G, qp.W.T, trans="T", lower=False)
         zeta = np.linalg.norm(Y, axis=0)
     else:
         zeta = np.zeros(0)
-    v_uc_map = sla.cho_solve((soft.G, False), -soft.F)
+    v_uc_map = sla.cho_solve((qp.G, False), -qp.F)
     v_uc_map.setflags(write=False)
     zero = zeta <= 0.0
     return Screener(zeta=zeta, qp=qp, v_uc_map=v_uc_map,
                     zero_rows=zero if zero.any() else None)
 
 
-def complete_slacks(v_tilde: np.ndarray, qp, z: np.ndarray,
+def complete_slacks(v_tilde: np.ndarray, qp: SoftQP, z: np.ndarray,
                     rhs: np.ndarray | None = None) -> np.ndarray:
     """Minimal slacks making (v~, eps~) feasible: max(0, Wv~ - c - Lz).
 
     `rhs` may carry a precomputed c + Lz.
     """
-    soft = _softqp(qp)
     v_tilde = np.asarray(v_tilde, dtype=float).ravel()
-    if len(v_tilde) != soft.n_v:
+    if len(v_tilde) != qp.n_v:
         raise DimensionError(
-            f"candidate has length {len(v_tilde)}, expected {soft.n_v}")
+            f"candidate has length {len(v_tilde)}, expected {qp.n_v}")
     if rhs is None:
         rhs = qp.bound(z)
-    return np.maximum(0.0, soft.W @ v_tilde - rhs)
+    return np.maximum(0.0, qp.W @ v_tilde - rhs)
 
 
-def ellipsoid_bound(v_tilde: np.ndarray, eps_tilde: np.ndarray, qp,
+def ellipsoid_bound(v_tilde: np.ndarray, eps_tilde: np.ndarray, qp: SoftQP,
                     z: np.ndarray) -> EllipsoidBound:
     """Bound on the full-problem minimizer from a feasible pair.
 
     Center q = (v~ + v_uc)/2 with v_uc = -H^-1 Fz; squared radius
     sigma = rho'eps~ + |G(v~ - v_uc)|^2 / 4.
     """
-    soft = _softqp(qp)
     v_tilde = np.asarray(v_tilde, dtype=float).ravel()
     eps_tilde = np.asarray(eps_tilde, dtype=float).ravel()
-    v_uc = soft.unconstrained_minimizer(z)
+    v_uc = qp.unconstrained_minimizer(z)
     q = 0.5 * (v_tilde + v_uc)
-    sigma = float(soft.rho @ eps_tilde
-                  + 0.25 * np.sum((soft.G @ (v_tilde - v_uc)) ** 2))
-    return EllipsoidBound(q=q, sigma=sigma, G=soft.G)
+    sigma = float(qp.rho @ eps_tilde
+                  + 0.25 * np.sum((qp.G @ (v_tilde - v_uc)) ** 2))
+    return EllipsoidBound(q=q, sigma=sigma, G=qp.G)
 
 
 def screen(cache: Screener, bound: EllipsoidBound, z: np.ndarray,
@@ -190,18 +182,19 @@ def screen(cache: Screener, bound: EllipsoidBound, z: np.ndarray,
     precomputed c + Lz.  `Screener.step` applies the same rule.
     """
     b = cache.qp.bound(z) if rhs is None else rhs
-    margin = _softqp(cache.qp).W @ bound.q
+    margin = cache.qp.W @ bound.q
     return cache._keep(bound.sigma, eps_tilde, b, margin)
 
 
-def reduce_qp(qp, kept: KeptSet) -> SoftQP:
-    """SoftQP with only the kept rows; H, G, F are shared unchanged."""
-    soft = _softqp(qp)
-    if kept.n_c != soft.n_c:
+def reduce_qp(qp: SoftQP, kept: KeptSet) -> SoftQP:
+    """SoftQP with only the kept rows; H, G, F are shared unchanged.
+    Without L (a `CondensedQP`), its solvers need `rhs`."""
+    if kept.n_c != qp.n_c:
         raise DimensionError("kept set built for a different problem")
     idx = kept.indices
-    return SoftQP(H=soft.H, F=soft.F, W=soft.W[idx], c=soft.c[idx],
-                  L=soft.L[idx], rho=soft.rho[idx], G=soft.G)
+    return SoftQP(H=qp.H, F=qp.F, W=qp.W[idx], c=qp.c[idx],
+                  L=None if qp.L is None else qp.L[idx], rho=qp.rho[idx],
+                  G=qp.G)
 
 
 def expand_solution(red: SolveResult, kept: KeptSet, qp, z: np.ndarray,
@@ -212,10 +205,9 @@ def expand_solution(red: SolveResult, kept: KeptSet, qp, z: np.ndarray,
     them exceeding REMOVED_SLACK_TOL signals an unsound screening
     decision.  `rhs` may carry a precomputed c + Lz.
     """
-    soft = _softqp(qp)
     v = np.asarray(red.v_star, dtype=float).ravel()
     eps = complete_slacks(v, qp, z, rhs=rhs)
-    removed = np.ones(soft.n_c, dtype=bool)
+    removed = np.ones(qp.n_c, dtype=bool)
     removed[kept.indices] = False
     if eps[removed].max(initial=0.0) > REMOVED_SLACK_TOL:
         j = int(np.flatnonzero(removed)[np.argmax(eps[removed])])
@@ -225,7 +217,7 @@ def expand_solution(red: SolveResult, kept: KeptSet, qp, z: np.ndarray,
     return SolveResult(
         v_star=v,
         eps_star=eps,
-        objective=soft.objective(v, eps, z),
+        objective=qp.objective(v, eps, z),
         status=red.status,
         iterations=red.iterations,
         kkt_residual=red.kkt_residual,

@@ -61,7 +61,7 @@ class ThermalConfig:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("grid side must be at least 3")
-        for name in ("alpha", "beta", "dt"):
+        for name in ("alpha", "beta", "dt", "ref_target"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.dt <= 0.0:

@@ -8,6 +8,7 @@ from campc.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
     EXIT_OK,
+    EXIT_SOLVER,
     ConfigError,
     load_config,
     main,
@@ -105,6 +106,10 @@ class TestMain:
         assert main(["selftest", "--instances", count]) == EXIT_CONFIG
         assert "pass" not in capsys.readouterr().out
 
+    def test_selftest_rejects_negative_seed(self, capsys):
+        assert main(["selftest", "--seed", "-1"]) == EXIT_CONFIG
+        assert "pass" not in capsys.readouterr().out
+
     def test_bad_config_exit_code(self, tmp_path):
         cfg = _write_yaml(tmp_path / "c.yaml",
                           {"thermal": {"bogus_key": 1}})
@@ -135,11 +140,26 @@ class TestMain:
         {"thermal": {"q_scale": 0, "r_scale": 0}},
         {"thermal": {"ref_ramp_steps": 0}},
         {"thermal": {"beta": float("inf")}},
-        {"thermal": {"dt": float("nan")}}])
+        {"thermal": {"dt": float("nan")}},
+        {"thermal": {"ref_target": float("nan")}},
+        {"thermal": {"ref_target": float("inf")}}])
     def test_bad_config_value_exit_code(self, tmp_path, section):
         cfg = _write_yaml(tmp_path / "c.yaml", {
             "thermal": {"n": 6, "output_block": 2, "horizon": 3}, **section})
         assert main(["bench", "thermal", "--config", cfg]) == EXIT_CONFIG
+
+    # reduced mode's cold warm start warns of the overflow first
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["verify", "full", "reduced"])
+    def test_overflowing_reference_is_a_solver_failure(self, tmp_path,
+                                                       capsys, mode):
+        # a finite but huge target makes Fz overflow in the solve
+        cfg = _write_yaml(tmp_path / "c.yaml", {
+            "thermal": {"n": 6, "output_block": 2, "horizon": 3,
+                        "ref_target": 1.0e308}})
+        code = main(["bench", "thermal", "--config", cfg, "--mode", mode])
+        assert code == EXIT_SOLVER
+        assert "NumericalFailure" in capsys.readouterr().err
 
     def test_bench_thermal_small(self, tmp_path, capsys):
         cfg = _write_yaml(tmp_path / "c.yaml", {

@@ -1,7 +1,9 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from campc.condenser import (
     KIND_INPUT,
@@ -102,16 +104,16 @@ class TestCondensePinnedCases:
         model = StateSpaceModel(A=[[1.0]], B=[[1.0]], C=[[1.0]])
         prob = TrackingProblem(Q=[[1.0]], R=[[1.0]], N=1)
         cqp = condense(model, prob)
-        assert np.allclose(cqp.qp.H, [[4.0]])
-        assert np.allclose(cqp.qp.F, [[2.0, 2.0, -2.0]])
+        assert np.allclose(cqp.H, [[4.0]])
+        assert np.allclose(cqp.F, [[2.0, 2.0, -2.0]])
 
     def test_zero_output_weight(self):
         model = StateSpaceModel(A=[[0.3]], B=[[1.0]], C=[[1.0]])
         R = np.array([[2.5]])
         prob = TrackingProblem(Q=[[0.0]], R=R, N=1)
         cqp = condense(model, prob)
-        assert np.allclose(cqp.qp.H, 2.0 * R)
-        assert np.allclose(cqp.qp.F, 0.0)
+        assert np.allclose(cqp.H, 2.0 * R)
+        assert np.allclose(cqp.F, 0.0)
 
     def test_dimension_bookkeeping(self):
         rng = np.random.default_rng(5)
@@ -130,7 +132,7 @@ class TestCondensePinnedCases:
         rng = np.random.default_rng(6)
         for _ in range(20):
             model, prob = _random_setup(rng)
-            cholesky_factor(condense(model, prob).qp.H)
+            cholesky_factor(condense(model, prob).H)
 
 
 class TestCondenseAgainstRollout:
@@ -142,12 +144,11 @@ class TestCondenseAgainstRollout:
             z = rng.normal(size=cqp.n_z)
             v = rng.normal(size=cqp.n_v)
             want, _ = _rollout(model, prob, z, v)
-            got = (0.5 * v @ cqp.qp.H @ v + v @ (cqp.qp.F @ z)
+            got = (0.5 * v @ cqp.H @ v + v @ (cqp.F @ z)
                    + cqp.cost_constant(z))
             assert abs(got - want) <= 1e-9 * (1 + abs(want))
 
     def test_constraints_match(self):
-        # both right-hand sides: dense c + Lz and the rollout through K
         rng = np.random.default_rng(8)
         for model, prob in _setups_over_block_patterns(rng):
             cqp = condense(model, prob)
@@ -155,12 +156,11 @@ class TestCondenseAgainstRollout:
             v = rng.normal(size=cqp.n_v)
             _, want = _rollout(model, prob, z, v)
             tol = 1e-10 * (1 + np.abs(want).max(initial=0.0))
-            for rhs in (cqp.qp.bound(z), cqp.bound(z)):
-                got = cqp.qp.W @ v - rhs
-                assert got.shape == want.shape
-                assert np.abs(got - want).max(initial=0.0) <= tol
+            got = cqp.W @ v - cqp.bound(z)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max(initial=0.0) <= tol
 
-    def test_rollout_bound_matches_dense_product(self):
+    def test_rollout_bound_matches_free_response(self):
         rng = np.random.default_rng(11)
         no_state_rows = set()   # both with and without state rows
         for _ in range(60):
@@ -168,7 +168,7 @@ class TestCondenseAgainstRollout:
             cqp = condense(model, prob)
             no_state_rows.add(prob.state_constraints is None)
             z = rng.normal(size=cqp.n_z)
-            want = cqp.qp.bound(z)
+            want = _bound_by_rollout(model, prob, z)
             got = cqp.bound(z)
             assert got.shape == want.shape
             assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(
@@ -181,9 +181,29 @@ class TestCondenseAgainstRollout:
         rng = np.random.default_rng(12)
         for _ in range(3):
             z = rng.normal(scale=5.0, size=cqp.n_z)
-            want = cqp.qp.bound(z)
+            want = _bound_by_rollout(model, prob, z)
             assert np.abs(cqp.bound(z) - want).max() <= 1e-12 * np.abs(
                 want).max()
+
+    def test_cost_constant_on_thermal(self, thermal_setup):
+        model, prob, _ = thermal_setup
+        cqp = condense(model, prob)
+        rng = np.random.default_rng(15)
+        for _ in range(3):
+            z = rng.normal(scale=5.0, size=cqp.n_z)
+            want, _ = _rollout(model, prob, z, np.zeros(cqp.n_v))
+            assert abs(cqp.cost_constant(z) - want) <= 1e-9 * (1 + abs(want))
+
+    def test_holds_no_z_sized_arrays_on_thermal(self, thermal_setup):
+        # no dense n_c x n_z L and no n_z x n_z cost quadratic: the
+        # n = 20 problem (n_c = 2030, n_z = 528) holds well under 1 MB
+        model, prob, _ = thermal_setup
+        cqp = condense(model, prob)
+        assert cqp.L is None
+        held = sum(_array_bytes(getattr(cqp, f.name))
+                   for f in dataclasses.fields(cqp)
+                   if f.name not in ("model", "problem"))
+        assert held < 1e6
 
     def test_provenance_is_a_bijection(self):
         # every row's (kind, step, row) is the one the rollout emits there
@@ -211,9 +231,29 @@ class TestCondenseAgainstRollout:
             prob = TrackingProblem(Q=prob.Q, R=prob.R, N=prob.N, **blocks)
             cqp = condense(model, prob)
             z = np.zeros(cqp.n_z)
-            res = solve_soft_qp(cqp.qp, z)
+            res = solve_soft_qp(cqp, z)
             assert np.abs(res.v_star).max() <= 1e-7
             assert np.abs(res.eps_star).max(initial=0.0) <= 1e-7
+
+
+def _bound_by_rollout(model, prob, z):
+    """c + Lz from the free response: the negated constraint values of
+    the rollout at v = 0."""
+    n_v = prob.N * model.n_u
+    return -_rollout(model, prob, z, np.zeros(n_v))[1]
+
+
+def _array_bytes(obj):
+    """Bytes of the arrays `obj` holds, through dataclasses and sparse
+    matrices."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if sparse.issparse(obj):
+        return obj.data.nbytes + obj.indices.nbytes + obj.indptr.nbytes
+    if dataclasses.is_dataclass(obj):
+        return sum(_array_bytes(getattr(obj, f.name))
+                   for f in dataclasses.fields(obj))
+    return 0
 
 
 def _rel_err(got, want):
@@ -246,11 +286,13 @@ class TestKroneckerOperator:
         model, prob, _ = thermal_setup
         dense = StateSpaceModel(A=np.asarray(model.A), B=model.B, C=model.C)
         got, want = condense(model, prob), condense(dense, prob)
-        for name in ("H", "F", "W", "L", "c"):
-            assert _rel_err(getattr(got.qp, name),
-                            getattr(want.qp, name)) <= 1e-13, name
+        for name in ("H", "F", "W", "c"):
+            assert _rel_err(getattr(got, name),
+                            getattr(want, name)) <= 1e-13, name
         z = np.random.default_rng(13).normal(scale=5.0, size=got.n_z)
         assert _rel_err(got.bound(z), want.bound(z)) <= 1e-13
+        assert _rel_err(got.bound(z),
+                        _bound_by_rollout(dense, prob, z)) <= 1e-13
 
     def test_condense_matches_dense_on_random_factors(self):
         rng = np.random.default_rng(14)
@@ -269,13 +311,16 @@ class TestKroneckerOperator:
                                    state_constraints=blk,
                                    input_constraints=prob.input_constraints,
                                    rate_constraints=prob.rate_constraints)
+            dense = StateSpaceModel(A=np.asarray(A), B=B, C=C)
             got = condense(StateSpaceModel(A=A, B=B, C=C), prob)
-            want = condense(StateSpaceModel(A=np.asarray(A), B=B, C=C), prob)
-            for name in ("H", "F", "W", "L", "c"):
-                assert _rel_err(getattr(got.qp, name),
-                                getattr(want.qp, name)) <= 1e-13, name
+            want = condense(dense, prob)
+            for name in ("H", "F", "W", "c"):
+                assert _rel_err(getattr(got, name),
+                                getattr(want, name)) <= 1e-13, name
             z = rng.normal(size=got.n_z)
             assert _rel_err(got.bound(z), want.bound(z)) <= 1e-13
+            assert _rel_err(got.bound(z),
+                            _bound_by_rollout(dense, prob, z)) <= 1e-13
 
 
 class TestPerStepVectors:
@@ -298,7 +343,7 @@ class TestPerStepVectors:
         model = StateSpaceModel(A=[[1.0]], B=[[1.0]], C=[[1.0]])
         prob = TrackingProblem(Q=[[1.0]], R=[[1.0]], N=3)
         cqp = condense(model, prob)
-        prev = solve_soft_qp(cqp.qp, np.zeros(cqp.n_z))
+        prev = solve_soft_qp(cqp, np.zeros(cqp.n_z))
         prev = type(prev)(v_star=np.array([1.0, 2.0, 3.0]),
                           eps_star=prev.eps_star, objective=0.0,
                           status=prev.status, iterations=0, kkt_residual=0.0)
@@ -309,7 +354,7 @@ class TestPerStepVectors:
         model = StateSpaceModel(A=np.eye(2), B=np.eye(2), C=np.eye(2))
         prob = TrackingProblem(Q=np.eye(2), R=np.eye(2), N=2)
         cqp = condense(model, prob)
-        prev = solve_soft_qp(cqp.qp, np.zeros(cqp.n_z))
+        prev = solve_soft_qp(cqp, np.zeros(cqp.n_z))
         prev = type(prev)(v_star=np.array([1.0, 2.0, 3.0, 4.0]),
                           eps_star=prev.eps_star, objective=0.0,
                           status=prev.status, iterations=0, kkt_residual=0.0)
@@ -322,7 +367,7 @@ class TestPerStepVectors:
         cqp = condense(model, prob)
         z = np.array([1.0, 0.0, 1.0, 1.0])
         assert np.allclose(shift_warm_start(None, cqp, z),
-                           cqp.qp.unconstrained_minimizer(z))
+                           cqp.unconstrained_minimizer(z))
 
     def test_extract_input(self):
         assert np.allclose(extract_input([0.5], [2.0]), [2.5])

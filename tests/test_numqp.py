@@ -147,6 +147,18 @@ class TestSolveSoftQP:
         assert res.status == NUMERICAL_FAILURE
         assert res.iterations == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("solve", [solve_soft_qp, solve_active_set])
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_overflowing_fz_fails_numerically(self, solve, rows):
+        # Fz = 1e309 overflows: the solve reports the failure instead of
+        # raising or warning, with and without constraint rows
+        qp = SoftQP(H=[[2.0]], F=[[1e308]], W=np.ones((rows, 1)),
+                    c=[1.0] * rows, L=np.zeros((rows, 1)), rho=[1.0] * rows)
+        res = solve(qp, [10.0])
+        assert res.status == NUMERICAL_FAILURE
+        assert res.iterations == 0
+
     def test_no_constraints(self):
         qp = SoftQP(H=[[2.0]], F=[[2.0]], W=np.zeros((0, 1)), c=[],
                     L=np.zeros((0, 1)), rho=[])

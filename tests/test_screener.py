@@ -3,7 +3,8 @@ import pytest
 
 from campc import thermal2d
 from campc.condenser import condense
-from campc.numqp import SoftQP, enumerate_oracle, solve_soft_qp
+from campc.numqp import (DimensionError, SoftQP, enumerate_oracle,
+                         solve_active_set, solve_soft_qp)
 from campc.screener import (
     EllipsoidBound,
     EquivalenceViolation,
@@ -240,7 +241,7 @@ class TestUnconstrainedMinimizerMap:
             z = np.concatenate([rng.normal(scale=5.0, size=cqp.layout.n_x),
                                 rng.uniform(size=cqp.n_u),
                                 *thermal2d.reference_window(cfg, k)])
-            assert self._rel_err(cache, cqp.qp, z) <= 1e-12
+            assert self._rel_err(cache, cqp, z) <= 1e-12
 
 
 class TestCondensedRightHandSide:
@@ -265,12 +266,30 @@ class TestCondensedRightHandSide:
             assert np.array_equal(
                 kept.indices,
                 screen(cache, bound, z, eps_tilde, rhs=rhs).indices)
-            red = solve_soft_qp(reduce_qp(cqp, kept), z)
+            red = solve_soft_qp(reduce_qp(cqp, kept), z,
+                                rhs=rhs[kept.indices])
             out = expand_solution(red, kept, cqp, z)
             want = expand_solution(red, kept, cqp, z, rhs=rhs)
             assert np.array_equal(out.eps_star, want.eps_star)
             checked += 1
         assert checked > 10
+
+    def test_reduced_problem_needs_rhs(self):
+        # a reduced CondensedQP has no L, so c + Lz must be passed in
+        rng = np.random.default_rng(37)
+        cqp = condense(*_random_setup(rng))
+        while cqp.n_c == 0:
+            cqp = condense(*_random_setup(rng))
+        red = reduce_qp(cqp, KeptSet(indices=np.arange(cqp.n_c),
+                                     n_c=cqp.n_c))
+        assert cqp.L is None and red.L is None
+        z = rng.normal(size=cqp.n_z)
+        for solve in (solve_soft_qp, solve_active_set):
+            with pytest.raises(DimensionError, match="rhs"):
+                solve(red, z)
+        want = solve_soft_qp(cqp, z)
+        got = solve_soft_qp(red, z, rhs=cqp.bound(z))
+        assert np.array_equal(got.v_star, want.v_star)
 
 
 class TestReduceAndExpand:
