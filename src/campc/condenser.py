@@ -8,11 +8,12 @@ sequence v = [du_0, ..., du_{N-1}] as the only decision variable.  The
 parameter vector is z = [x; u_prev; y_ref_1; ...; y_ref_N].
 
 Constraint rows read the predicted signal s_i = [x_i; u_{i-1}; du_{i-1}],
-an affine map of (z, v) from one recursion over the dynamics; a single
-sparse row selection K over s gives W, c, rho and the provenance in
-`condense`, and the per-step c + Lz = c - K s(z, 0) in
-`CondensedQP.bound`, so no dense L is formed.  The x columns of F come
-from a transposed rollout, A' applied to C'.
+an affine map of (z, v) from one recursion over the dynamics.  One
+sparse per-step block M = blkdiag(M_state, M_input, M_rate) applied to
+each s_i gives W in `condense` and the per-step
+c + Lz = c - M s_i(z, 0) in `CondensedQP.bound`, so no dense L and no
+N-fold block is formed.  The x columns of F come from a transposed
+rollout, A' applied to C'.
 
 The model's A is a dense array or a `KroneckerOperator`; the condenser
 only ever forms A @ x and A' @ x, so a separable model is rolled out
@@ -131,25 +132,36 @@ class StateSpaceModel:
 
 @dataclass(frozen=True)
 class ConstraintBlock:
-    """One soft constraint family M w <= g with per-row penalties."""
+    """One soft constraint family M w <= g with per-row penalties.
 
-    M: np.ndarray
+    M is a dense array or a `scipy.sparse` matrix; a sparse M is held
+    as a CSR copy and checked for finiteness on its stored entries only.
+    """
+
+    M: np.ndarray | sparse.csr_matrix
     g: np.ndarray
     rho: np.ndarray
 
     def __post_init__(self):
-        M = _as_matrix(self.M, "M")
+        if sparse.issparse(self.M):
+            M = self.M.tocsr(copy=True).astype(float, copy=False)
+            M.sum_duplicates()
+            stored = (M.data, M.indices, M.indptr)
+        else:
+            M = _as_matrix(self.M, "M")
+            stored = (M,)
         g = _as_vector(self.g)
         rho = np.asarray(self.rho, dtype=float)
         if rho.ndim == 0:
             rho = np.full(len(g), float(rho))
         if M.shape[0] != len(g) or len(rho) != len(g):
             raise DimensionError("constraint block rows inconsistent")
-        _require_finite(M=M, g=g, rho=rho)
+        _require_finite(M=stored[0], g=g, rho=rho)
         if len(rho) and rho.min() <= 0.0:
             raise ValueError("slack penalties must be positive")
-        for name, val in (("M", M), ("g", g), ("rho", rho)):
+        for val in (*stored, g, rho):
             val.setflags(write=False)
+        for name, val in (("M", M), ("g", g), ("rho", rho)):
             object.__setattr__(self, name, val)
 
     @property
@@ -238,8 +250,9 @@ class CondensedQP(SoftQP):
     problem: TrackingProblem
     layout: ZLayout
     provenance: Provenance
-    # K: the constraint rows over the predicted signal s = [s_1; ...; s_N]
-    _K: sparse.csr_matrix
+    # blkdiag(M_state, M_input, M_rate): the constraint rows over one
+    # step's signal s_i
+    _M: sparse.csr_matrix
 
     @property
     def qp(self) -> CondensedQP:
@@ -270,15 +283,16 @@ class CondensedQP(SoftQP):
         return s
 
     def bound(self, z: np.ndarray) -> np.ndarray:
-        """Constraint right-hand side c + Lz = c - K s(z, 0).
+        """Constraint right-hand side c + Lz = c - M s_i(z, 0), i = 1..N,
+        with M the per-step block.
 
         Cost: N n_x^2 for the rollout with a dense A, or N 2n^3 with a
-        Kronecker A of two n x n factors (n_x = n^2), plus
-        nnz(K) = N nnz(M) for the selection, against n_c n_z for a
-        dense product with L.
+        Kronecker A of two n x n factors (n_x = n^2), plus N nnz(M) for
+        the per-step block, against n_c n_z for a dense product with L.
         """
         s = self._free_response(self._check_z(z))
-        return self.c - self._K @ s.ravel()
+        # (M s')' holds one row per step, as c's rows run
+        return self.c - (self._M @ s.T).T.ravel()
 
     def cost_constant(self, z: np.ndarray) -> float:
         """z-only constant dropped from the condensed objective: the
@@ -298,12 +312,13 @@ def condense(model: StateSpaceModel, prob: TrackingProblem) -> CondensedQP:
     s_i = [x_i; u_{i-1}; du_{i-1}] = P_i z + V_i v for i = 1..N.  It runs
     over the [u_prev; v] columns only (n_u + n_v of them): the x
     column of x_i is A^i, so C A^i (for F) comes from the transposed
-    rollout (A')^i C' instead.  The constraint rows are K s with
-    K = kron(I_N, blkdiag(M_state, M_input, M_rate)), so W = K V, and
-    c, rho and the provenance repeat the blocks' g, rho and rows per
-    step.  Rows are thus ordered per prediction step: state rows at
-    step i, then input rows at step i-1, then rate rows at i-1, for
-    i = 1..N.  The z-only terms, c + Lz = c - K P z and the cost
+    rollout (A')^i C' instead.  The constraint rows of step i are
+    M s_i with the per-step block M = blkdiag(M_state, M_input, M_rate),
+    held sparse with only the blocks' nonzeros, so the rows of
+    W are M V_i, and c, rho and the provenance repeat the blocks' g, rho
+    and rows per step.  Rows are thus ordered per prediction step: state
+    rows at step i, then input rows at step i-1, then rate rows at i-1,
+    for i = 1..N.  The z-only terms, c + Lz = c - M P_i z and the cost
     constant, are left to the rollout in `CondensedQP`.
     """
     A, B, C = model.A, model.B, model.C
@@ -350,22 +365,22 @@ def condense(model: StateSpaceModel, prob: TrackingProblem) -> CondensedQP:
         H += 2.0 * CT.T @ Q @ CT
         F += 2.0 * CT.T @ Q @ Ez
 
-    # coo_matrix keeps only the nonzeros of each dense M
-    M = sparse.block_diag([sparse.coo_matrix(b.M) for b in blocks])
-    K = sparse.kron(sparse.identity(N), M, format="csr")
+    # csr_matrix keeps only the nonzeros of a dense block
+    M = sparse.block_diag([sparse.csr_matrix(b.M) for b in blocks],
+                          format="csr")
     kind = np.repeat([KIND_STATE, KIND_INPUT, KIND_RATE],
                      [b.rows for b in blocks])
     # state rows belong to step i, input and rate rows to step i-1
     step = np.repeat(np.arange(N), len(kind)) + np.tile(kind == KIND_STATE, N)
     row = np.concatenate([np.arange(b.rows) for b in blocks])
-    KS = K @ S.reshape(N * S.shape[1], -1)
-    # W contiguous, so the per-step W products run on the fast BLAS path
+    # concatenated, W is contiguous, so the per-step W products run on
+    # the fast BLAS path
     return CondensedQP(
-        H=H, F=F, W=np.ascontiguousarray(KS[:, n_u:]),
+        H=H, F=F, W=np.concatenate([M @ s_i[:, n_u:] for s_i in S]),
         c=np.tile(np.concatenate([b.g for b in blocks]), N), L=None,
         rho=np.tile(np.concatenate([b.rho for b in blocks]), N),
         model=model, problem=prob, layout=layout,
-        provenance=Provenance(np.tile(kind, N), step, np.tile(row, N)), _K=K)
+        provenance=Provenance(np.tile(kind, N), step, np.tile(row, N)), _M=M)
 
 
 def assemble_z(x: np.ndarray, u_prev: np.ndarray, y_refs,

@@ -160,8 +160,9 @@ class SoftQP:
         """Solve H v = -Fz through the cached Cholesky factor; an Fz that
         overflows gives a non-finite v, not an error."""
         z = self._check_z(z)
-        return sla.cho_solve((self.G, False), -self.F @ z,
-                             check_finite=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return sla.cho_solve((self.G, False), -self.F @ z,
+                                 check_finite=False)
 
     def objective(self, v: np.ndarray, eps: np.ndarray, z: np.ndarray) -> float:
         return 0.5 * v @ self.H @ v + v @ (self.F @ z) + self.rho @ eps
@@ -394,10 +395,12 @@ def _active_set(qp, b, g, eq, pinned):
     in `enumerate_oracle`.  Each pass solves the equality system the
     classes define exactly, then moves the single row whose sign
     condition fails worst to the class its own numbers point at.  The
-    loop stops when no row fails by more than a tiny margin, or after
-    3*n_c + 1 passes, which bounds its cost: it is not guaranteed to
-    terminate on its own, and can cycle.  `eq` and `pinned` are updated
-    in place.
+    loop stops when no row fails by more than a tiny margin.  It can
+    cycle: each pass is a function of the classes alone, so it stops
+    when it has solved the same classes twice, and in any case after
+    3*n_c + 1 passes, which bounds its cost.  `eq` and `pinned` are
+    updated in place; on a stop other than the cap they hold the
+    classes of the returned point.
 
     Returns (v, eps, lam, passes) of the last solve, or None if a solve
     failed or b or g holds NaN or inf; the caller judges the point by
@@ -408,6 +411,7 @@ def _active_set(qp, b, g, eq, pinned):
     W, rho, G = qp.W, qp.rho, qp.G
     n_v, n_c = qp.n_v, qp.n_c
     tiny = 1e-11 * (1.0 + np.abs(b).max(initial=0.0))
+    seen = set()
     for passes in range(1, 3 * n_c + 2):
         E, = eq.nonzero()
         P, = pinned.nonzero()
@@ -440,6 +444,10 @@ def _active_set(qp, b, g, eq, pinned):
         j = int(score.argmax())
         if score[j] <= tiny:
             break
+        state = (E.tobytes(), P.tobytes())
+        if state in seen:
+            break
+        seen.add(state)
         if eq[j]:
             # a negative multiplier releases the row; one above rho_j
             # means the slack must carry it

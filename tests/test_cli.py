@@ -148,8 +148,9 @@ class TestMain:
             "thermal": {"n": 6, "output_block": 2, "horizon": 3}, **section})
         assert main(["bench", "thermal", "--config", cfg]) == EXIT_CONFIG
 
-    # reduced mode's cold warm start warns of the overflow first
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    # no mode may warn of the overflow: with warnings as errors the
+    # warning would end the run before it reports the solver failure
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("mode", ["verify", "full", "reduced"])
     def test_overflowing_reference_is_a_solver_failure(self, tmp_path,
                                                        capsys, mode):

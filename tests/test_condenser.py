@@ -19,6 +19,7 @@ from campc.condenser import (
     shift_warm_start,
 )
 from campc.numqp import DimensionError, cholesky_factor, solve_soft_qp
+from campc.screener import precompute_row_norms
 
 
 def _random_setup(rng, with_constraints=True):
@@ -176,14 +177,16 @@ class TestCondenseAgainstRollout:
         assert no_state_rows == {True, False}
 
     def test_rollout_bound_matches_on_thermal(self, thermal_setup):
+        # bit for bit: the free response on the Kronecker grid forms the
+        # products of `A @ x`, and each thermal constraint row holds a
+        # single +-1, so the per-step block's product is exact
         model, prob, _ = thermal_setup
         cqp = condense(model, prob)
         rng = np.random.default_rng(12)
         for _ in range(3):
             z = rng.normal(scale=5.0, size=cqp.n_z)
-            want = _bound_by_rollout(model, prob, z)
-            assert np.abs(cqp.bound(z) - want).max() <= 1e-12 * np.abs(
-                want).max()
+            assert np.array_equal(cqp.bound(z),
+                                  _bound_by_rollout(model, prob, z))
 
     def test_cost_constant_on_thermal(self, thermal_setup):
         model, prob, _ = thermal_setup
@@ -204,6 +207,59 @@ class TestCondenseAgainstRollout:
                    for f in dataclasses.fields(cqp)
                    if f.name not in ("model", "problem"))
         assert held < 1e6
+
+    def test_whole_setup_holds_under_1mb_on_thermal(self, thermal_setup):
+        # model, problem, condensed problem and screener together, each
+        # array counted once: no dense n_x x n_x array anywhere (a dense
+        # state block alone would be 1.28 MB at n = 20)
+        model, prob, _ = thermal_setup
+        cqp = condense(model, prob)
+        cache = precompute_row_norms(cqp)
+        seen = set()
+        held = sum(_array_bytes(obj, seen)
+                   for obj in (model, prob, cqp, cache))
+        assert held < 1e6
+
+    def test_sparse_state_block_matches_dense(self, thermal_setup):
+        # the thermal state block as a sparse identity and as np.eye:
+        # the same condensed problem, bit for bit
+        model, prob, _ = thermal_setup
+        blk = prob.state_constraints
+        assert sparse.issparse(blk.M)
+        dense = dataclasses.replace(prob, state_constraints=ConstraintBlock(
+            M=np.eye(model.n_x), g=blk.g, rho=blk.rho))
+        got, want = condense(model, prob), condense(model, dense)
+        for name in ("W", "c", "rho"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        for name in ("kind", "step", "row"):
+            assert np.array_equal(getattr(got.provenance, name),
+                                  getattr(want.provenance, name))
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            z = rng.normal(scale=5.0, size=got.n_z)
+            assert np.array_equal(got.bound(z), want.bound(z))
+
+    def test_sparse_blocks_match_dense(self):
+        # every pattern of present and empty blocks, each block given
+        # sparse, against the same blocks given dense
+        rng = np.random.default_rng(18)
+        keys = ("state_constraints", "input_constraints", "rate_constraints")
+        for model, prob in _setups_over_block_patterns(rng):
+            blocks = {key: ConstraintBlock(M=sparse.csr_matrix(blk.M),
+                                           g=blk.g, rho=blk.rho)
+                      for key in keys
+                      if (blk := getattr(prob, key)) is not None}
+            got = condense(model, dataclasses.replace(prob, **blocks))
+            want = condense(model, prob)
+            for name in ("W", "c", "rho"):
+                assert _rel_err(getattr(got, name),
+                                getattr(want, name)) <= 1e-13, name
+            assert list(zip(got.provenance.kind, got.provenance.step,
+                            got.provenance.row)) == list(zip(
+                want.provenance.kind, want.provenance.step,
+                want.provenance.row))
+            z = rng.normal(size=got.n_z)
+            assert _rel_err(got.bound(z), want.bound(z)) <= 1e-13
 
     def test_provenance_is_a_bijection(self):
         # every row's (kind, step, row) is the one the rollout emits there
@@ -243,15 +299,20 @@ def _bound_by_rollout(model, prob, z):
     return -_rollout(model, prob, z, np.zeros(n_v))[1]
 
 
-def _array_bytes(obj):
+def _array_bytes(obj, seen=None):
     """Bytes of the arrays `obj` holds, through dataclasses and sparse
-    matrices."""
+    matrices; objects whose id is in `seen` are skipped, and each one
+    counted is added to it."""
+    if seen is not None:
+        if id(obj) in seen:
+            return 0
+        seen.add(id(obj))
     if isinstance(obj, np.ndarray):
         return obj.nbytes
     if sparse.issparse(obj):
         return obj.data.nbytes + obj.indices.nbytes + obj.indptr.nbytes
     if dataclasses.is_dataclass(obj):
-        return sum(_array_bytes(getattr(obj, f.name))
+        return sum(_array_bytes(getattr(obj, f.name), seen)
                    for f in dataclasses.fields(obj))
     return 0
 
@@ -414,6 +475,12 @@ class TestModelValidation:
         data[name].flat[-1] = np.nan
         with pytest.raises(ValueError, match=f"^{name} holds NaN or inf"):
             ConstraintBlock(**data)
+
+    def test_constraint_block_rejects_non_finite_sparse_m(self):
+        M = sparse.identity(2, format="csr")
+        M.data[-1] = np.nan
+        with pytest.raises(ValueError, match="^M holds NaN or inf"):
+            ConstraintBlock(M=M, g=np.ones(2), rho=np.ones(2))
 
     @pytest.mark.parametrize("name", ["Q", "R"])
     def test_tracking_problem_rejects_non_finite(self, name):

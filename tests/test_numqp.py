@@ -299,17 +299,28 @@ class TestSolveActiveSet:
             checked += 1
         assert checked >= 10
 
-    def test_pass_cap_ends_in_fallback(self):
-        # the loop can cycle; it stops after 3*n_c + 1 passes, and its
-        # exit there is no KKT point, so the answer is the fallback's
+    def test_cycle_ends_in_fallback(self):
+        # the loop can cycle; it stops when it has solved the same
+        # classes twice, before the 3*n_c + 1 pass cap, and its exit
+        # there is no KKT point, so the answer is the fallback's
         rng = np.random.default_rng(1)
-        capped = 0
+        cycled = 0
         for _ in range(300):
             qp, z = random_soft_qp(rng)
-            *_, passes, kkt = _cold_loop(qp, z)
-            if passes < 3 * qp.n_c + 1:
+            b, g = qp.bound(z), qp.F @ z
+            eq, pinned = np.zeros((2, qp.n_c), dtype=bool)
+            v, eps, lam, passes = numqp._active_set(qp, b, g, eq, pinned)
+            # restarted from its exit classes, a loop that stopped on a
+            # KKT point solves once and stops; a cycle goes round again
+            # and stops on the same classes
+            again = eq.copy(), pinned.copy()
+            if numqp._active_set(qp, b, g, *again)[3] == 1:
                 continue
-            capped += 1
+            cycled += 1
+            assert np.array_equal(again[0], eq)
+            assert np.array_equal(again[1], pinned)
+            assert passes < 3 * qp.n_c + 1
+            kkt = numqp._kkt_residual(qp, b, g, v, eps, lam, qp.rho - lam)
             assert kkt > 1e-8
             got = solve_active_set(qp, z)
             _same_result(got, solve_soft_qp(qp, z))
@@ -317,7 +328,7 @@ class TestSolveActiveSet:
             assert got.status == OPTIMAL
             assert np.abs(got.v_star - want.v_star).max() <= 1e-6 * (
                 1.0 + np.abs(want.v_star).max())
-        assert capped
+        assert cycled
 
     @pytest.mark.filterwarnings("error")
     def test_overflow_falls_back_without_warning(self):

@@ -148,7 +148,7 @@ class TestBenchmarkAssembly:
     def test_state_bound_is_gaussian_profile(self, thermal_setup):
         model, prob, cfg = thermal_setup
         blk = prob.state_constraints
-        assert np.array_equal(blk.M, np.eye(400))
+        assert np.array_equal(blk.M.toarray(), np.eye(400))
         assert np.allclose(blk.g, gaussian_field(cfg.n, cfg.bound))
         assert blk.g.max() <= cfg.bound.peak
 
