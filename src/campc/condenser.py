@@ -82,7 +82,9 @@ class StateSpaceModel:
     """Discrete-time LTI model x+ = Ax + Bu, y = Cx (D must be zero).
 
     A is a dense array or a `KroneckerOperator`; an operator is checked
-    factor by factor and never made dense.
+    factor by factor and never made dense.  A 2-d B must have n_x rows
+    and a 2-d C n_x columns; a 1-d one is reshaped to fit, and one of
+    more dimensions is rejected.
     """
 
     A: np.ndarray | KroneckerOperator
@@ -98,9 +100,15 @@ class StateSpaceModel:
             # contiguous, so the per-step A @ x runs on the fast BLAS path
             A = np.ascontiguousarray(_as_matrix(A, "A"))
             factors = (A,)
-        B = np.ascontiguousarray(
-            np.asarray(self.B, dtype=float).reshape(A.shape[0], -1))
-        C = np.asarray(self.C, dtype=float).reshape(-1, A.shape[0])
+        n_x = A.shape[0]
+        B = np.asarray(self.B, dtype=float)
+        C = np.asarray(self.C, dtype=float)
+        for name, val, axis in (("B", B, 0), ("C", C, 1)):
+            if val.ndim > 2 or val.ndim == 2 and val.shape[axis] != n_x:
+                raise DimensionError(
+                    f"{name} has shape {val.shape}, but A is {A.shape}")
+        B = np.ascontiguousarray(B.reshape(n_x, -1))
+        C = C.reshape(-1, n_x)
         D = self.D
         if D is None:
             D = np.zeros((C.shape[0], B.shape[1]))
@@ -134,32 +142,29 @@ class StateSpaceModel:
 class ConstraintBlock:
     """One soft constraint family M w <= g with per-row penalties.
 
-    M is a dense array or a `scipy.sparse` matrix; a sparse M is held
-    as a CSR copy and checked for finiteness on its stored entries only.
+    M is given as a dense array or a `scipy.sparse` matrix and held as
+    one CSR copy with only its nonzeros, checked for finiteness on
+    those stored entries.
     """
 
-    M: np.ndarray | sparse.csr_matrix
+    M: sparse.csr_matrix
     g: np.ndarray
     rho: np.ndarray
 
     def __post_init__(self):
-        if sparse.issparse(self.M):
-            M = self.M.tocsr(copy=True).astype(float, copy=False)
-            M.sum_duplicates()
-            stored = (M.data, M.indices, M.indptr)
-        else:
-            M = _as_matrix(self.M, "M")
-            stored = (M,)
+        M = self.M if sparse.issparse(self.M) else _as_matrix(self.M, "M")
+        M = sparse.csr_matrix(M, dtype=float, copy=True)
+        M.sum_duplicates()
         g = _as_vector(self.g)
         rho = np.asarray(self.rho, dtype=float)
         if rho.ndim == 0:
             rho = np.full(len(g), float(rho))
         if M.shape[0] != len(g) or len(rho) != len(g):
             raise DimensionError("constraint block rows inconsistent")
-        _require_finite(M=stored[0], g=g, rho=rho)
+        _require_finite(M=M.data, g=g, rho=rho)
         if len(rho) and rho.min() <= 0.0:
             raise ValueError("slack penalties must be positive")
-        for val in (*stored, g, rho):
+        for val in (M.data, M.indices, M.indptr, g, rho):
             val.setflags(write=False)
         for name, val in (("M", M), ("g", g), ("rho", rho)):
             object.__setattr__(self, name, val)
@@ -263,10 +268,6 @@ class CondensedQP(SoftQP):
     def n_u(self) -> int:
         return self.layout.n_u
 
-    @property
-    def N(self) -> int:
-        return self.layout.N
-
     def _free_response(self, z):
         """s_i = [x_i; u_prev; 0] at v = 0, rolling x_i = A x_{i-1} +
         B u_prev N steps from x; one row per step."""
@@ -365,9 +366,7 @@ def condense(model: StateSpaceModel, prob: TrackingProblem) -> CondensedQP:
         H += 2.0 * CT.T @ Q @ CT
         F += 2.0 * CT.T @ Q @ Ez
 
-    # csr_matrix keeps only the nonzeros of a dense block
-    M = sparse.block_diag([sparse.csr_matrix(b.M) for b in blocks],
-                          format="csr")
+    M = sparse.block_diag([b.M for b in blocks], format="csr")
     kind = np.repeat([KIND_STATE, KIND_INPUT, KIND_RATE],
                      [b.rows for b in blocks])
     # state rows belong to step i, input and rate rows to step i-1

@@ -68,16 +68,14 @@ class Screener:
     `CondensedQP` from its rollout.  `v_uc_map @ z` is
     the unconstrained minimizer v_uc the screen needs, one
     n_v x n_z product instead of a product with F and two triangular
-    solves.  `zero_rows` marks constraint rows with a zero normal (they
-    need the sign of c_j + L_j z instead of the ellipsoid test); it is
-    None when no such row exists, which keeps the hot screening path
-    branch-free.
+    solves.  One keep rule (see `screen`) decides every row; a row with
+    a zero normal (zeta_j = 0) needs no rule of its own, since it is
+    kept exactly when the candidate violates it or |c_j + L_j z| <= tau.
     """
 
     zeta: np.ndarray
     qp: SoftQP
     v_uc_map: np.ndarray
-    zero_rows: np.ndarray = None
 
     def step(self, v_tilde: np.ndarray, v_uc: np.ndarray,
              rhs: np.ndarray) -> KeptSet:
@@ -103,18 +101,20 @@ class Screener:
 
     def _keep(self, sigma: float, eps_tilde, b, margin) -> KeptSet:
         """Keep rule; overwrites `margin` (W q on entry) in place."""
-        rad = np.sqrt(max(sigma, 0.0))
-        # reach of the ellipsoid along W_j plus a small safety margin tau
-        tau = 1e-9 * (1.0 + np.abs(b).max(initial=0.0))
-        thresh = rad * self.zeta
-        thresh += tau
-        gap = np.subtract(b, margin, out=margin)
-        np.abs(gap, out=gap)
-        keep = thresh >= gap
-        keep |= eps_tilde > 0.0
-        if self.zero_rows is not None:
-            keep[self.zero_rows] = b[self.zero_rows] < 0.0
-        idx = np.flatnonzero(keep)
+        if sigma < np.inf:
+            rad = np.sqrt(max(sigma, 0.0))
+            # reach of the ellipsoid along W_j plus a small safety margin
+            tau = 1e-9 * (1.0 + np.abs(b).max(initial=0.0))
+            thresh = rad * self.zeta
+            thresh += tau
+            gap = np.subtract(b, margin, out=margin)
+            np.abs(gap, out=gap)
+            keep = thresh >= gap
+            keep |= eps_tilde > 0.0
+            idx = np.flatnonzero(keep)
+        else:
+            # a NaN or infinite sigma bounds nothing: keep every row
+            idx = np.arange(self.qp.n_c)
         idx.setflags(write=False)
         # indices are ascending and in range by construction
         kept = object.__new__(KeptSet)
@@ -127,16 +127,10 @@ def precompute_row_norms(qp: SoftQP) -> Screener:
     """The Screener of `qp`, with zeta_j = |W_j G^-1|_2 via one
     triangular solve per row and v_uc_map = -H^-1 F via the cached
     Cholesky factor."""
-    if qp.n_c:
-        Y = sla.solve_triangular(qp.G, qp.W.T, trans="T", lower=False)
-        zeta = np.linalg.norm(Y, axis=0)
-    else:
-        zeta = np.zeros(0)
+    Y = sla.solve_triangular(qp.G, qp.W.T, trans="T", lower=False)
     v_uc_map = sla.cho_solve((qp.G, False), -qp.F)
     v_uc_map.setflags(write=False)
-    zero = zeta <= 0.0
-    return Screener(zeta=zeta, qp=qp, v_uc_map=v_uc_map,
-                    zero_rows=zero if zero.any() else None)
+    return Screener(zeta=np.linalg.norm(Y, axis=0), qp=qp, v_uc_map=v_uc_map)
 
 
 def complete_slacks(v_tilde: np.ndarray, qp: SoftQP, z: np.ndarray,
@@ -175,11 +169,12 @@ def screen(cache: Screener, bound: EllipsoidBound, z: np.ndarray,
            rhs: np.ndarray | None = None) -> KeptSet:
     """Keep row j unless its half-space provably contains the ellipsoid.
 
-    Row j is kept when sqrt(sigma)*zeta_j >= |c_j + L_j z - W_j q| with
-    a small safety margin (non-strict rule: a tangent constraint is
-    kept), or when the candidate violates it (eps~_j > 0).  Rows with a
-    zero normal are kept only if always violated.  `rhs` may carry a
-    precomputed c + Lz.  `Screener.step` applies the same rule.
+    Row j is kept when sqrt(sigma)*zeta_j + tau >= |c_j + L_j z - W_j q|
+    with tau = 1e-9 (1 + max|c + Lz|) (non-strict rule: a tangent
+    constraint is kept), or when the candidate violates it
+    (eps~_j > 0), and every row is kept when sigma is NaN or inf.  This
+    one rule decides every row, a zero-normal one included.  `rhs` may
+    carry a precomputed c + Lz.  `Screener.step` applies the same rule.
     """
     b = cache.qp.bound(z) if rhs is None else rhs
     margin = cache.qp.W @ bound.q

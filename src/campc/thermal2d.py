@@ -9,9 +9,8 @@ every grid node.
 The sampled model comes from one eigenbasis of the 1-d operator D1
 (`sampled_model`): A as the Kronecker product of two n x n factors and
 B column by column, in O(n^3) work with no matrix exponential and no
-dense n^2 x n^2 matrix.  `build_laplacian` and `discretize_zoh` form
-the dense continuous model and its block exponential, as the
-reference the tests compare against.
+dense n^2 x n^2 matrix.  The tests hold the dense continuous model and
+its block exponential as the reference they compare against.
 """
 from __future__ import annotations
 
@@ -131,43 +130,6 @@ def second_difference(cfg: ThermalConfig) -> np.ndarray:
     D1[n - 1, n - 1] = -2.0 / h ** 2 + 2.0 * s / (cfg.alpha * h)
     D1[n - 1, n - 2] = 2.0 / h ** 2
     return D1
-
-
-def build_laplacian(cfg: ThermalConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Continuous-time (A_c, B_c) of the semi-discretized PDE.
-
-    A_c = alpha (D1 (x) I + I (x) D1) + sign * beta * I, with D1 from
-    `second_difference`.
-    """
-    n = cfg.n
-    if cfg.alpha != 0.0:
-        D1 = second_difference(cfg)
-        eye = np.eye(n)
-        A_c = cfg.alpha * (np.kron(D1, eye) + np.kron(eye, D1))
-    else:
-        A_c = np.zeros((n * n, n * n))
-    A_c = A_c + cfg.reaction_sign * cfg.beta * np.eye(n * n)
-    B_c = np.column_stack([gaussian_field(n, spec) for spec in cfg.loads])
-    return A_c, B_c
-
-
-def discretize_zoh(A_c: np.ndarray, B_c: np.ndarray,
-                   dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact sampling under piecewise-constant inputs.
-
-    Computed jointly as the exponential of the block matrix
-    [[A_c, B_c], [0, 0]] * dt.
-    """
-    A_c = np.asarray(A_c, dtype=float)
-    B_c = np.asarray(B_c, dtype=float)
-    n, m = A_c.shape[0], B_c.shape[1]
-    blk = np.zeros((n + m, n + m))
-    blk[:n, :n] = A_c * dt
-    blk[:n, n:] = B_c * dt
-    E = sla.expm(blk)
-    if not np.isfinite(E).all():
-        raise FloatingPointError("matrix exponential did not converge")
-    return E[:n, :n], E[:n, n:]
 
 
 def _eigenbasis(cfg: ThermalConfig) -> tuple[np.ndarray, np.ndarray,

@@ -236,6 +236,21 @@ class TestMain:
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
         assert f"{bad} in " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["B", "C"])
+    def test_run_rejects_transposed_b_or_c(self, tmp_path, capsys, name):
+        # n_x = 4, n_u = 2, n_y = 1: the transposed B or C has the right
+        # number of entries, so only its shape tells it apart
+        data = dict(A=0.5 * np.eye(4), B=np.arange(8.0).reshape(4, 2),
+                    C=np.ones((1, 4)), Q=np.eye(1), R=np.eye(2), N=2,
+                    y_ref=np.ones((5, 1)))
+        data[name] = data[name].T
+        np.savez(tmp_path / "m.npz", **data)
+        cfg = _write_yaml(tmp_path / "c.yaml", {
+            "matrices": {"path": "m.npz"}, "scenario": {"steps": 3}})
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        assert (f"{name} has shape {data[name].shape}, but A is (4, 4)"
+                in capsys.readouterr().err)
+
     def test_run_from_npz(self, tmp_path, capsys):
         steps, N = 4, 2
         rng = np.random.default_rng(0)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -366,8 +367,8 @@ class TestKroneckerOperator:
             C = np.tile(model.C, (1, p))
             blk = prob.state_constraints
             if blk is not None:
-                blk = ConstraintBlock(M=np.tile(blk.M, (1, p)), g=blk.g,
-                                      rho=blk.rho)
+                blk = ConstraintBlock(M=np.tile(blk.M.toarray(), (1, p)),
+                                      g=blk.g, rho=blk.rho)
             prob = TrackingProblem(Q=prob.Q, R=prob.R, N=prob.N,
                                    state_constraints=blk,
                                    input_constraints=prob.input_constraints,
@@ -452,6 +453,18 @@ class TestModelValidation:
                 StateSpaceModel(A=A, B=np.ones((A.shape[0], 1)),
                                 C=np.ones((1, A.shape[0])))
 
+    @pytest.mark.parametrize("name, shape", [("B", (2, 4)), ("C", (4, 1)),
+                                             ("B", (2, 2, 2)),
+                                             ("C", (1, 2, 2))])
+    def test_rejects_misshapen_b_or_c(self, name, shape):
+        # each has as many entries as the right shape, (4, 2) for B and
+        # (1, 4) for C, but is not reshaped to it
+        mats = dict(A=np.eye(4), B=np.ones((4, 2)), C=np.ones((1, 4)))
+        mats[name] = np.ones(shape)
+        want = f"{name} has shape {shape}, but A is (4, 4)"
+        with pytest.raises(DimensionError, match=f"^{re.escape(want)}$"):
+            StateSpaceModel(**mats)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["A", "B", "C", "D", "A.P", "A.Q"])
     def test_model_rejects_non_finite(self, name, bad):
@@ -481,6 +494,13 @@ class TestModelValidation:
         M.data[-1] = np.nan
         with pytest.raises(ValueError, match="^M holds NaN or inf"):
             ConstraintBlock(M=M, g=np.ones(2), rho=np.ones(2))
+
+    def test_constraint_block_holds_only_nonzeros(self):
+        # a dense M is held as one CSR copy of its nonzeros
+        blk = ConstraintBlock(M=np.eye(400), g=np.ones(400), rho=1.0)
+        assert sparse.isspmatrix_csr(blk.M)
+        assert blk.M.nnz == len(blk.M.data) == 400
+        assert np.array_equal(blk.M.toarray(), np.eye(400))
 
     @pytest.mark.parametrize("name", ["Q", "R"])
     def test_tracking_problem_rejects_non_finite(self, name):

@@ -45,6 +45,15 @@ class TestRowNorms:
                     W=[[2.0, 0.0]], c=[1.0], L=np.zeros((1, 1)), rho=[1.0])
         assert np.allclose(precompute_row_norms(qp).zeta, [1.0])
 
+    def test_no_rows(self):
+        # n_c = 0: the triangular solve and the norm give an empty zeta
+        qp = SoftQP(H=np.eye(2), F=np.zeros((2, 1)), W=np.zeros((0, 2)),
+                    c=np.zeros(0), L=np.zeros((0, 1)), rho=np.zeros(0))
+        cache = precompute_row_norms(qp)
+        assert cache.zeta.shape == (0,)
+        kept = cache.step(np.ones(2), np.zeros(2), np.zeros(0))
+        assert len(kept) == 0 and kept.n_c == 0
+
 
 class TestCompleteSlacks:
     def test_feasible_candidate(self):
@@ -173,6 +182,20 @@ class TestScreen:
             assert np.abs(red.v_star - full.v_star).max() <= tol
         assert removals > 0  # the test is vacuous if nothing was screened
 
+    def test_non_finite_sigma_keeps_every_row(self):
+        # a NaN candidate gives sigma = NaN; an infinite sigma bounds
+        # nothing either
+        rng = np.random.default_rng(39)
+        for _ in range(50):
+            qp, z = random_soft_qp(rng)
+            v_tilde = np.full(qp.n_v, np.nan)
+            _, bound, kept = _screen_pipeline(qp, z, v_tilde)
+            assert np.isnan(bound.sigma)
+            assert list(kept.indices) == list(range(qp.n_c))
+            inf = EllipsoidBound(q=np.zeros(qp.n_v), sigma=np.inf, G=qp.G)
+            kept = screen(precompute_row_norms(qp), inf, z, np.zeros(qp.n_c))
+            assert list(kept.indices) == list(range(qp.n_c))
+
 
 class TestScreenerStep:
     """`Screener.step`, the screen the closed loop and the sweep run."""
@@ -213,6 +236,45 @@ class TestScreenerStep:
         kept = precompute_row_norms(qp).step(
             np.zeros(1), qp.unconstrained_minimizer(z), qp.bound(z))
         assert list(kept.indices) == [1]
+
+    def test_zero_normal_rows_random(self):
+        # rows of W zeroed at random, c of both signs: the one keep rule
+        # keeps each zero row with c_j + L_j z < 0 (the candidate violates
+        # it) and stays sound
+        rng = np.random.default_rng(38)
+        zero_kept = zero_removed = 0
+        for _ in range(300):
+            qp, z = random_soft_qp(rng)
+            zero = rng.random(qp.n_c) < 0.4
+            W = np.where(zero[:, None], 0.0, qp.W)
+            c = rng.choice([-1.0, 1.0], size=qp.n_c) * np.abs(qp.c)
+            qp = SoftQP(H=qp.H, F=qp.F, W=W, c=c, L=qp.L, rho=qp.rho)
+            b = qp.bound(z)
+            v_tilde = rng.normal(scale=1.5, size=qp.n_v)
+            kept = precompute_row_norms(qp).step(
+                v_tilde, qp.unconstrained_minimizer(z), b)
+            _, _, want = _screen_pipeline(qp, z, v_tilde)
+            assert np.array_equal(kept.indices, want.indices)
+            violated = np.flatnonzero(zero & (b < 0.0))
+            assert np.isin(violated, kept.indices).all()
+            zero_kept += len(violated)
+            zero_removed += np.count_nonzero(
+                ~np.isin(np.flatnonzero(zero), kept.indices))
+            full = enumerate_oracle(qp, z)
+            red = enumerate_oracle(reduce_qp(qp, kept), z)
+            tol = 1e-6 * (1.0 + np.abs(full.v_star).max())
+            assert np.abs(red.v_star - full.v_star).max() <= tol
+        assert zero_kept > 0 and zero_removed > 0
+
+    def test_nan_candidate_keeps_every_row(self):
+        rng = np.random.default_rng(40)
+        for _ in range(50):
+            qp, z = random_soft_qp(rng)
+            kept = precompute_row_norms(qp).step(
+                np.full(qp.n_v, np.nan), qp.unconstrained_minimizer(z),
+                qp.bound(z))
+            assert list(kept.indices) == list(range(qp.n_c))
+            assert kept.n_c == qp.n_c
 
 
 class TestUnconstrainedMinimizerMap:

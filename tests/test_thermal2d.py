@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.integrate import solve_ivp
 
 from campc.condenser import KroneckerOperator, condense
 from campc.thermal2d import (
     GaussianSpec,
     ThermalConfig,
-    build_laplacian,
     build_thermal_benchmark,
-    discretize_zoh,
     gaussian_field,
     grid_coordinates,
     reference,
@@ -16,6 +15,45 @@ from campc.thermal2d import (
     sampled_model,
     second_difference,
 )
+
+
+# The dense continuous model and its block exponential: the reference
+# that the eigenbasis build (`sampled_model`) is compared against.
+def build_laplacian(cfg: ThermalConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Continuous-time (A_c, B_c) of the semi-discretized PDE.
+
+    A_c = alpha (D1 (x) I + I (x) D1) + sign * beta * I, with D1 from
+    `thermal2d.second_difference`.
+    """
+    n = cfg.n
+    if cfg.alpha != 0.0:
+        D1 = second_difference(cfg)
+        eye = np.eye(n)
+        A_c = cfg.alpha * (np.kron(D1, eye) + np.kron(eye, D1))
+    else:
+        A_c = np.zeros((n * n, n * n))
+    A_c = A_c + cfg.reaction_sign * cfg.beta * np.eye(n * n)
+    B_c = np.column_stack([gaussian_field(n, spec) for spec in cfg.loads])
+    return A_c, B_c
+
+
+def discretize_zoh(A_c: np.ndarray, B_c: np.ndarray,
+                   dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact sampling under piecewise-constant inputs.
+
+    Computed jointly as the exponential of the block matrix
+    [[A_c, B_c], [0, 0]] * dt.
+    """
+    A_c = np.asarray(A_c, dtype=float)
+    B_c = np.asarray(B_c, dtype=float)
+    n, m = A_c.shape[0], B_c.shape[1]
+    blk = np.zeros((n + m, n + m))
+    blk[:n, :n] = A_c * dt
+    blk[:n, n:] = B_c * dt
+    E = sla.expm(blk)
+    if not np.isfinite(E).all():
+        raise FloatingPointError("matrix exponential did not converge")
+    return E[:n, :n], E[:n, n:]
 
 
 class TestGaussianField:
