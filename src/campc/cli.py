@@ -171,7 +171,7 @@ def _load_matrices(path) -> tuple:
         model = StateSpaceModel(A=data["A"], B=data["B"], C=data["C"],
                                 D=data["D"] if "D" in data.files else None)
         problem = TrackingProblem(
-            Q=data["Q"], R=data["R"], N=int(N),
+            Q=data["Q"], R=data["R"], N=N[()],
             state_constraints=block("x"),
             input_constraints=block("u"),
             rate_constraints=block("d"))

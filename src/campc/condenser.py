@@ -157,8 +157,7 @@ class ConstraintBlock:
         M.sum_duplicates()
         g = _as_vector(self.g)
         rho = np.asarray(self.rho, dtype=float)
-        if rho.ndim == 0:
-            rho = np.full(len(g), float(rho))
+        rho = np.full(len(g), float(rho)) if rho.ndim == 0 else rho.ravel()
         if M.shape[0] != len(g) or len(rho) != len(g):
             raise DimensionError("constraint block rows inconsistent")
         _require_finite(M=M.data, g=g, rho=rho)
@@ -182,9 +181,12 @@ def _empty_block(dim):
 class TrackingProblem:
     """Output-tracking cost and soft constraints over a horizon.
 
-    Q weighs the output error (PSD), R the input increment (PD).  State
-    constraints apply at prediction steps 1..N, input and rate
-    constraints at steps 0..N-1; any block may have zero rows.
+    Q weighs the output error and R the input increment; both must be
+    symmetric positive semidefinite, to the relative 1e-12 of
+    `cholesky_factor`, which checks that the condensed H is definite.
+    N is an integer >= 1.  State constraints apply at prediction steps
+    1..N, input and rate constraints at steps 0..N-1; any block may have
+    zero rows.
     """
 
     Q: np.ndarray
@@ -195,12 +197,20 @@ class TrackingProblem:
     rate_constraints: ConstraintBlock = None
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("horizon N must be >= 1")
+        if not isinstance(self.N, (int, np.integer)) or self.N < 1:
+            raise ValueError(
+                f"horizon N must be an integer >= 1, got {self.N!r}")
         Q = _as_matrix(self.Q, "Q")
         R = _as_matrix(self.R, "R")
         _require_finite(Q=Q, R=R)
         for name, val in (("Q", Q), ("R", R)):
+            if val.shape[0] != val.shape[1]:
+                raise DimensionError(f"{name} must be square, got {val.shape}")
+            tol = 1e-12 * (1.0 + np.abs(val).max(initial=0.0))
+            if (np.abs(val - val.T).max(initial=0.0) > tol
+                    or np.linalg.eigvalsh(val).min(initial=0.0) < -tol):
+                raise ValueError(
+                    f"{name} must be symmetric positive semidefinite")
             val.setflags(write=False)
             object.__setattr__(self, name, val)
 

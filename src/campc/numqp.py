@@ -12,17 +12,18 @@ enumeration oracle for testing, and a random instance generator for
 property tests.
 
 The solvers share one active-set loop (`_active_set`), which classes
-each row as inactive, at its boundary or violated and solves the
-equality system of those classes exactly:
+each row as inactive, at its boundary or violated, solves the equality
+system of those classes exactly and returns that point's KKT residual:
 
-  solve_soft_qp     interior point method with a slack s per row and
-                    eps >= 0 bounded directly; its optimal exit is
+  solve_soft_qp     interior point method on x = [s; eps] (a slack s per
+                    row, and eps >= 0 bounded directly) and their
+                    multipliers y = [lam; mu]; its optimal exit is
                     refined by the loop started from the classes the
                     iterate suggests (the polish).  Its cost grows with
                     the number of rows; it is the full-problem solver.
   solve_active_set  the loop alone, from every row inactive, with
-                    solve_soft_qp as the fallback whenever its exit is
-                    not a KKT point to `tol`.  Its cost grows with the
+                    solve_soft_qp as the fallback whenever its exit's
+                    residual exceeds `tol`.  Its cost grows with the
                     number of rows that end up active; the closed loop
                     uses it for the screened (reduced) problem.
 """
@@ -67,6 +68,16 @@ def _as_vector(v):
     return np.asarray(v, dtype=float).ravel()
 
 
+def _as_shaped(M, name, shape):
+    """M as a float array of `shape`: a 2-d M must have that shape, and a
+    1-d one is reshaped to it."""
+    M = np.asarray(M, dtype=float)
+    if (M.ndim > 2 or M.ndim == 2 and M.shape != shape
+            or M.size != shape[0] * shape[1]):
+        raise DimensionError(f"{name} has shape {M.shape}, expected {shape}")
+    return M.reshape(shape)
+
+
 def _require_finite(**arrays):
     """Raise ValueError naming the first array that holds NaN or inf."""
     for name, val in arrays.items():
@@ -97,8 +108,10 @@ class SoftQP:
     """Data of a soft-constrained QP; immutable after construction.
 
     The Cholesky factor G of H (upper triangular, H = G'G) is computed
-    once and cached.  L may be None (`CondensedQP`); c + Lz is then
-    formed by a subclass or passed to the solvers as `rhs`.
+    once and cached.  A 2-d W must be (len(c), n_v) and a 2-d L
+    (len(c), n_z); a 1-d one is reshaped to that shape.  L may be None
+    (`CondensedQP`); c + Lz is then formed by a subclass or passed to
+    the solvers as `rhs`.
     """
 
     H: np.ndarray
@@ -113,13 +126,12 @@ class SoftQP:
         H = _as_matrix(self.H, "H")
         F = _as_matrix(self.F, "F")
         n_v = H.shape[0]
-        W = np.asarray(self.W, dtype=float).reshape(-1, n_v)
         c = _as_vector(self.c)
         rho = _as_vector(self.rho)
+        W = _as_shaped(self.W, "W", (len(c), n_v))
         data = dict(H=H, F=F, W=W, c=c, rho=rho)
         if self.L is not None:
-            data["L"] = np.asarray(self.L, dtype=float).reshape(
-                len(c), F.shape[1])
+            data["L"] = _as_shaped(self.L, "L", (len(c), F.shape[1]))
         if F.shape[0] != n_v:
             raise DimensionError(f"F has {F.shape[0]} rows, expected {n_v}")
         if len(rho) != len(c):
@@ -226,7 +238,9 @@ def solve_soft_qp(qp: SoftQP, z: np.ndarray,
     """Mehrotra predictor-corrector interior point method on (v, eps).
 
     Each row gets a slack s with multiplier lam, and eps >= 0 is bounded
-    directly, with multiplier mu; eps is eliminated from the Newton
+    directly, with multiplier mu.  The pairs are held as one primal
+    vector x = [s; eps] and one dual vector y = [lam; mu], with duality
+    measure x'y / (2 n_c); (eps, mu, s) are eliminated from the Newton
     system, leaving an n_v x n_v condensed KKT matrix per iteration.
     `rhs` may carry a precomputed c + Lz.  An optimal exit is refined by
     an active-set polish, which the exactness of screening relies on.
@@ -255,8 +269,10 @@ def solve_soft_qp(qp: SoftQP, z: np.ndarray,
         if n_c == 0:
             res = np.abs(H @ v + g).max(initial=0.0) / (1.0 + np.abs(g).max(initial=0.0))
             return SolveResult(v, eps, qp.objective(v, eps, z), OPTIMAL, 0, res)
-        lam = np.ones(n_c)
-        mu = np.ones(n_c)
+        x = np.concatenate([s, eps])
+        y = np.ones(2 * n_c)
+        # views, which the in-place steps of x and y move along
+        s, eps, lam, mu = x[:n_c], x[n_c:], y[:n_c], y[n_c:]
         for it in range(1, opts.max_iterations + 1):
             kkt = _kkt_residual(qp, b, g, v, eps, lam, mu)
             if kkt <= opts.tol:
@@ -278,15 +294,15 @@ def solve_soft_qp(qp: SoftQP, z: np.ndarray,
                 status = NUMERICAL_FAILURE
                 break
 
-            def newton(rc1, rc2):
-                e0 = (rc2 - eps * r_e) / m_e
-                coef = (lam * (r_p - e0) + rc1) / denom
+            def newton(rc):     # rc: the target of x * y
+                e0 = (rc[n_c:] - eps * r_e) / m_e
+                coef = (lam * (r_p - e0) + rc[:n_c]) / denom
                 dv, _ = dpotrs(Kfac, -r_v - W.T @ coef)
                 dlam = Dinv * (W @ dv) + coef
                 deps = a * dlam + e0
-                dmu = r_e + delta * deps - dlam
-                ds = -r_p - W @ dv + deps
-                return dv, deps, dlam, dmu, ds
+                dx = np.concatenate([-r_p - W @ dv + deps, deps])
+                dy = np.concatenate([dlam, r_e + delta * deps - dlam])
+                return dv, dx, dy
 
             def max_step(x, dx):
                 neg = dx < 0
@@ -295,30 +311,22 @@ def solve_soft_qp(qp: SoftQP, z: np.ndarray,
                 return min(1.0, float((-ftb * x[neg] / dx[neg]).min()))
 
             # predictor: aim at complementarity zero
-            dv, deps, dlam, dmu, ds = newton(-lam * s, -mu * eps)
-            ap = min(max_step(s, ds), max_step(eps, deps))
-            ad = min(max_step(lam, dlam), max_step(mu, dmu))
-            mu_now = (lam @ s + mu @ eps) / (2 * n_c)
-            mu_aff = ((lam + ad * dlam) @ (s + ap * ds)
-                      + (mu + ad * dmu) @ (eps + ap * deps)) / (2 * n_c)
+            xy = y * x
+            dv, dx, dy = newton(-xy)
+            ap, ad = max_step(x, dx), max_step(y, dy)
+            mu_now = y @ x / (2 * n_c)
+            mu_aff = (y + ad * dy) @ (x + ap * dx) / (2 * n_c)
             sigma = (max(mu_aff, 0.0) / mu_now) ** 3 if mu_now > 0 else 0.0
 
             # corrector with centering, from the predictor's step
-            target = sigma * mu_now
-            dv, deps, dlam, dmu, ds = newton(
-                target - lam * s - dlam * ds,
-                target - mu * eps - dmu * deps)
-            ap = min(max_step(s, ds), max_step(eps, deps))
-            ad = min(max_step(lam, dlam), max_step(mu, dmu))
+            dv, dx, dy = newton(sigma * mu_now - xy - dy * dx)
+            ap, ad = max_step(x, dx), max_step(y, dy)
 
-            v = v + ap * dv
-            eps = eps + ap * deps
-            s = s + ap * ds
-            lam = lam + ad * dlam
-            mu = mu + ad * dmu
+            v += ap * dv
+            x += ap * dx
+            y += ad * dy
 
-            if (not np.isfinite(v).all() or s.min() <= 0 or eps.min() <= 0
-                    or lam.min() <= 0 or mu.min() <= 0):
+            if not np.isfinite(v).all() or x.min() <= 0 or y.min() <= 0:
                 status = NUMERICAL_FAILURE
                 break
 
@@ -335,11 +343,8 @@ def solve_soft_qp(qp: SoftQP, z: np.ndarray,
         active = s < lam                 # at its boundary or violated
         pinned = active & (eps > mu)     # slack strictly positive
         out = _active_set(qp, b, g, active & ~pinned, pinned)
-        if out is not None:
-            v_p, eps_p, lam_p, _ = out
-            kkt_p = _kkt_residual(qp, b, g, v_p, eps_p, lam_p, rho - lam_p)
-            if kkt_p <= kkt:
-                v, eps, kkt = v_p, eps_p, kkt_p
+        if out is not None and out[2] <= kkt:
+            v, eps, kkt, _ = out
     return SolveResult(v, eps, qp.objective(v, eps, z), status, it, kkt)
 
 
@@ -368,12 +373,10 @@ def solve_active_set(qp: SoftQP, z: np.ndarray,
         g = qp.F @ z
     out = _active_set(qp, b, g, np.zeros(qp.n_c, dtype=bool),
                       np.zeros(qp.n_c, dtype=bool))
-    if out is not None:
-        v, eps, lam, passes = out
-        kkt = _kkt_residual(qp, b, g, v, eps, lam, qp.rho - lam)
-        if kkt <= opts.tol:
-            return SolveResult(v, eps, qp.objective(v, eps, z), OPTIMAL,
-                               passes, kkt)
+    if out is not None and out[2] <= opts.tol:
+        v, eps, kkt, passes = out
+        return SolveResult(v, eps, qp.objective(v, eps, z), OPTIMAL,
+                           passes, kkt)
     return solve_soft_qp(qp, z, opts, rhs=b)
 
 
@@ -402,9 +405,9 @@ def _active_set(qp, b, g, eq, pinned):
     updated in place; on a stop other than the cap they hold the
     classes of the returned point.
 
-    Returns (v, eps, lam, passes) of the last solve, or None if a solve
-    failed or b or g holds NaN or inf; the caller judges the point by
-    its KKT residual.
+    Returns (v, eps, kkt, passes) of the last solve, with kkt its
+    `_kkt_residual`, or None if a solve failed or b or g holds NaN or
+    inf; the caller judges the point by that residual.
     """
     if not (np.isfinite(b).all() and np.isfinite(g).all()):
         return None
@@ -465,7 +468,7 @@ def _active_set(qp, b, g, eq, pinned):
     lam = np.zeros(n_c)
     lam[P] = rho[P]
     lam[E] = lam_E
-    return v, eps, lam, passes
+    return v, eps, _kkt_residual(qp, b, g, v, eps, lam, rho - lam), passes
 
 
 ORACLE_MAX_N_V, ORACLE_MAX_N_C = 6, 14   # hypotheses grow as 3^n_c

@@ -251,6 +251,37 @@ class TestMain:
         assert (f"{name} has shape {data[name].shape}, but A is (4, 4)"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("Q", -0.01 * np.eye(2), "Q must be symmetric positive"),
+        ("Q", np.array([[1.0, 0.8], [-0.8, 1.0]]), "Q must be symmetric"),
+        ("N", 2.5, "horizon N must be an integer >= 1")],
+        ids=["negative-Q", "asymmetric-Q", "N=2.5"])
+    def test_run_rejects_bad_weights_or_horizon(self, tmp_path, capsys,
+                                                name, value, message):
+        # a negative or asymmetric Q would reward tracking error, and a
+        # fractional N is not truncated
+        data = dict(A=0.5 * np.eye(2), B=np.eye(2), C=np.eye(2),
+                    Q=np.eye(2), R=np.eye(2), N=2, y_ref=np.ones((5, 2)))
+        data[name] = value
+        np.savez(tmp_path / "m.npz", **data)
+        cfg = _write_yaml(tmp_path / "c.yaml", {
+            "matrices": {"path": "m.npz"}, "scenario": {"steps": 3}})
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    def test_run_accepts_column_rho(self, tmp_path, capsys):
+        # rho_x of shape (n_x, 1), as g_x may be
+        n_x = 3
+        np.savez(tmp_path / "m.npz", A=0.9 * np.eye(n_x),
+                 B=np.ones((n_x, 1)), C=np.ones((1, n_x)) / n_x,
+                 Q=np.eye(1), R=0.1 * np.eye(1), N=3,
+                 y_ref=np.ones((8, 1)), M_x=np.eye(n_x),
+                 g_x=np.full((n_x, 1), 0.8), rho_x=np.full((n_x, 1), 10.0))
+        cfg = _write_yaml(tmp_path / "c.yaml", {
+            "matrices": {"path": "m.npz"}, "scenario": {"steps": 5}})
+        assert main(["run", "--config", cfg]) == EXIT_OK
+        assert "equivalence:      pass" in capsys.readouterr().out
+
     def test_run_from_npz(self, tmp_path, capsys):
         steps, N = 4, 2
         rng = np.random.default_rng(0)

@@ -502,6 +502,34 @@ class TestModelValidation:
         assert blk.M.nnz == len(blk.M.data) == 400
         assert np.array_equal(blk.M.toarray(), np.eye(400))
 
+    def test_constraint_block_ravels_column_rho(self):
+        # rho follows g: an (n, 1) column is raveled, a scalar broadcasts
+        for rho in (np.full((2, 1), 3.0), 3.0):
+            blk = ConstraintBlock(M=np.eye(2), g=np.ones((2, 1)), rho=rho)
+            assert np.array_equal(blk.rho, [3.0, 3.0])
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"Q": -0.01 * np.eye(2)}, "^Q must be symmetric positive semidef"),
+        ({"Q": [[1.0, 0.8], [-0.8, 1.0]]}, "^Q must be symmetric"),
+        ({"R": -np.eye(1)}, "^R must be symmetric positive semidefinite"),
+        ({"R": np.ones((1, 2))}, "^R must be square"),
+        ({"N": 0}, "^horizon N must be an integer >= 1"),
+        ({"N": 2.5}, "^horizon N must be an integer >= 1"),
+        ({"N": np.array([2, 3])}, "^horizon N must be an integer >= 1")],
+        ids=["negative-Q", "asymmetric-Q", "negative-R", "nonsquare-R",
+             "N=0", "N=2.5", "N-array"])
+    def test_tracking_problem_rejects_bad_q_r_or_n(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            TrackingProblem(**{"Q": np.eye(2), "R": np.eye(1), "N": 2,
+                               **kwargs})
+
+    def test_tracking_problem_accepts_zero_r(self):
+        # r_scale: 0 is a valid thermal config; H's Cholesky still
+        # checks that the condensed problem is definite
+        prob = TrackingProblem(Q=np.eye(2), R=np.zeros((1, 1)),
+                               N=np.int64(2))
+        assert np.array_equal(prob.R, [[0.0]])
+
     @pytest.mark.parametrize("name", ["Q", "R"])
     def test_tracking_problem_rejects_non_finite(self, name):
         data = dict(Q=np.eye(2), R=np.eye(1))
