@@ -168,8 +168,7 @@ def _load_matrices(path) -> tuple:
     if N.shape != ():
         raise ConfigError(f"N in {path} has shape {N.shape}, expected ()")
     try:
-        model = StateSpaceModel(A=data["A"], B=data["B"], C=data["C"],
-                                D=data["D"] if "D" in data.files else None)
+        model = StateSpaceModel(A=data["A"], B=data["B"], C=data["C"])
         problem = TrackingProblem(
             Q=data["Q"], R=data["R"], N=N[()],
             state_constraints=block("x"),
@@ -178,9 +177,9 @@ def _load_matrices(path) -> tuple:
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad matrices in {path}: {exc}") from exc
     y_ref = np.atleast_2d(np.asarray(data["y_ref"], dtype=float))
-    x0 = data["x0"] if "x0" in data.files else None
-    u_prev = data["u_prev"] if "u_prev" in data.files else None
-    for name, val in (("y_ref", y_ref), ("x0", x0), ("u_prev", u_prev)):
+    x0, u_prev, D = (data.get(key) for key in ("x0", "u_prev", "D"))
+    for name, val in (("y_ref", y_ref), ("x0", x0), ("u_prev", u_prev),
+                      ("D", D)):
         if val is not None and not np.isfinite(val).all():
             raise ConfigError(f"{name} in {path} holds NaN or inf")
     n_x, n_u, n_y = model.n_x, model.n_u, model.n_y
@@ -191,11 +190,14 @@ def _load_matrices(path) -> tuple:
         ("M_u", problem.input_constraints, n_u),
         ("M_d", problem.rate_constraints, n_u)) if b is not None]
     shapes += [(name, np.ravel(val), (n,)) for name, val, n in (
-        ("x0", x0, n_x), ("u_prev", u_prev, n_u)) if val is not None]
+        ("x0", x0, n_x), ("u_prev", u_prev, n_u), ("D", D, n_y * n_u))
+        if val is not None]
     for name, val, want in shapes:
         if val.shape != want:
             raise ConfigError(f"{name} in {path} has shape {val.shape}, "
                               f"expected {want}")
+    if D is not None and np.any(D != 0.0):
+        raise ConfigError(f"D in {path} must be zero: no feedthrough")
     return model, problem, y_ref, x0, u_prev
 
 
@@ -258,7 +260,7 @@ def cmd_selftest(args) -> int:
             failures.append(name)
 
     n_inst = args.instances
-    solver_ok = sound_ok = member_ok = True
+    solver_ok = sound_ok = member_ok = step_ok = True
     for _ in range(n_inst):
         qp, z = numqp.random_soft_qp(rng)
         full = numqp.solve_soft_qp(qp, z)
@@ -272,12 +274,16 @@ def cmd_selftest(args) -> int:
         member_ok &= bound.radius_sq(oracle.v_star) <= bound.sigma * (1 + 1e-7) + 1e-9
         cache = screener.precompute_row_norms(qp)
         kept = screener.screen(cache, bound, z, eps_tilde)
+        # the closed loop screens through Screener.step: same rule
+        step = cache.step(v_tilde, qp.unconstrained_minimizer(z), qp.bound(z))
+        step_ok &= np.array_equal(step.indices, kept.indices)
         red = screener.reduce_qp(qp, kept)
         red_star = numqp.enumerate_oracle(red, z)
         sound_ok &= np.abs(red_star.v_star - oracle.v_star).max() <= tol
     check(f"solver matches oracle on {n_inst} random QPs", solver_ok)
     check("full minimizer inside ellipsoid bound", member_ok)
     check("screening preserves the minimizer", sound_ok)
+    check("Screener.step keeps the rows screen keeps", step_ok)
     return EXIT_OK if not failures else EXIT_FAIL
 
 

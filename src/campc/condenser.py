@@ -79,7 +79,7 @@ class KroneckerOperator:
 
 @dataclass(frozen=True)
 class StateSpaceModel:
-    """Discrete-time LTI model x+ = Ax + Bu, y = Cx (D must be zero).
+    """Discrete-time LTI model x+ = Ax + Bu, y = Cx: no feedthrough D.
 
     A is a dense array or a `KroneckerOperator`; an operator is checked
     factor by factor and never made dense.  A 2-d B must have n_x rows
@@ -90,7 +90,6 @@ class StateSpaceModel:
     A: np.ndarray | KroneckerOperator
     B: np.ndarray
     C: np.ndarray
-    D: np.ndarray = None
 
     def __post_init__(self):
         A = self.A
@@ -109,20 +108,14 @@ class StateSpaceModel:
                     f"{name} has shape {val.shape}, but A is {A.shape}")
         B = np.ascontiguousarray(B.reshape(n_x, -1))
         C = C.reshape(-1, n_x)
-        D = self.D
-        if D is None:
-            D = np.zeros((C.shape[0], B.shape[1]))
-        D = np.asarray(D, dtype=float).reshape(C.shape[0], B.shape[1])
         for factor in factors:
             if factor.shape[0] != factor.shape[1]:
                 raise DimensionError(f"A must be square, got {factor.shape}")
             _require_finite(A=factor)
-        _require_finite(B=B, C=C, D=D)
-        if np.any(D != 0.0):
-            raise ValueError("direct feedthrough D must be zero")
-        for val in (*factors, B, C, D):
+        _require_finite(B=B, C=C)
+        for val in (*factors, B, C):
             val.setflags(write=False)
-        for name, val in (("A", A), ("B", B), ("C", C), ("D", D)):
+        for name, val in (("A", A), ("B", B), ("C", C)):
             object.__setattr__(self, name, val)
 
     @property
@@ -217,20 +210,12 @@ class TrackingProblem:
 
 @dataclass(frozen=True)
 class ZLayout:
-    """Offsets of the blocks inside z = [x; u_prev; y_ref_1..N]."""
+    """Sizes of the blocks of z = [x; u_prev; y_ref_1..N], in order."""
 
     n_x: int
     n_u: int
     n_y: int
     N: int
-
-    @property
-    def x_offset(self) -> int:
-        return 0
-
-    @property
-    def u_prev_offset(self) -> int:
-        return self.n_x
 
     @property
     def y_ref_offset(self) -> int:
@@ -282,12 +267,12 @@ class CondensedQP(SoftQP):
         """s_i = [x_i; u_prev; 0] at v = 0, rolling x_i = A x_{i-1} +
         B u_prev N steps from x; one row per step."""
         lay = self.layout
-        u_prev = z[lay.u_prev_offset:lay.y_ref_offset]
+        u_prev = z[lay.n_x:lay.y_ref_offset]
         s = np.zeros((lay.N, lay.n_x + 2 * lay.n_u))
         s[:, lay.n_x:lay.y_ref_offset] = u_prev
         A = self.model.A
         Bu = self.model.B @ u_prev
-        x = z[lay.x_offset:lay.u_prev_offset]
+        x = z[:lay.n_x]
         for x_next in s[:, :lay.n_x]:
             np.add(A @ x, Bu, out=x_next)
             x = x_next
@@ -393,20 +378,20 @@ def condense(model: StateSpaceModel, prob: TrackingProblem) -> CondensedQP:
 
 
 def assemble_z(x: np.ndarray, u_prev: np.ndarray, y_refs,
-               layout: ZLayout | None = None) -> np.ndarray:
-    """Stack [x; u_prev; y_ref_1; ...; y_ref_N].
+               layout: ZLayout) -> np.ndarray:
+    """Stack [x; u_prev; y_ref_1; ...; y_ref_N] for `layout`.
 
-    Raises ValueError naming the block (x, u_prev or the reference
-    window) that holds NaN or inf.
+    Raises DimensionError for a block that does not match the layout,
+    and ValueError naming the block (x, u_prev or the reference window)
+    that holds NaN or inf.
     """
     x = np.asarray(x, dtype=float).ravel()
     u_prev = np.asarray(u_prev, dtype=float).ravel()
     refs = [np.asarray(yr, dtype=float).ravel() for yr in y_refs]
-    if layout is not None:
-        if len(x) != layout.n_x or len(u_prev) != layout.n_u:
-            raise DimensionError("x/u_prev lengths do not match layout")
-        if len(refs) != layout.N or any(len(yr) != layout.n_y for yr in refs):
-            raise DimensionError("reference window does not match layout")
+    if len(x) != layout.n_x or len(u_prev) != layout.n_u:
+        raise DimensionError("x/u_prev lengths do not match layout")
+    if len(refs) != layout.N or any(len(yr) != layout.n_y for yr in refs):
+        raise DimensionError("reference window does not match layout")
     z = np.concatenate([x, u_prev] + refs)
     if not np.isfinite(z).all():
         n_xu = len(x) + len(u_prev)
@@ -417,16 +402,12 @@ def assemble_z(x: np.ndarray, u_prev: np.ndarray, y_refs,
     return z
 
 
-def shift_warm_start(prev: SolveResult | None, qp: CondensedQP,
-                     z: np.ndarray) -> np.ndarray:
-    """Candidate input sequence for the next step.
-
-    With a previous solution: drop its first increment block and pad
-    with zeros (steady-state continuation).  Without one, fall back to
-    the unconstrained minimizer.
+def shift_warm_start(prev: SolveResult, qp: CondensedQP) -> np.ndarray:
+    """Candidate input sequence for the next step: drop the first
+    increment block of the previous solution and pad with zeros
+    (steady-state continuation).  At the first step there is nothing to
+    shift; the closed loop starts from the unconstrained minimizer.
     """
-    if prev is None:
-        return qp.unconstrained_minimizer(z)
     n_u = qp.n_u
     v_prev = np.asarray(prev.v_star, dtype=float).ravel()
     if len(v_prev) != qp.n_v:

@@ -20,8 +20,9 @@ model rollout (`CondensedQP.bound`), outside every timer.  The full
 solve, the screen, the reduced solve and the re-embedding all reuse
 it, so neither the full-solve timer nor the screen and reduced-solve
 timers include it.  In reduced and verify mode the screen's
-unconstrained minimizer v_uc is formed from the screener's
-precomputed map, also outside every timer; the solvers form their own.
+unconstrained minimizer v_uc is formed from the screener's precomputed
+map, also outside every timer (the solvers form their own); it is the
+screen's candidate at step 0, where there is no solution to shift.
 The rollout and the plant update only ever form A @ x, so a
 `KroneckerOperator` A (the thermal model's) runs through its factors.
 """
@@ -142,7 +143,7 @@ def run_closed_loop(scenario: Scenario) -> RunResult:
 
     for k in range(scenario.steps):
         z = condenser.assemble_z(x, u_prev, scenario.references(k),
-                                 layout=cqp.layout)
+                                 cqp.layout)
         # shared step setup, outside both timers: c + Lz poses the MPC
         # problem regardless of screening, and both solves reuse it
         rhs = cqp.bound(z)
@@ -163,7 +164,8 @@ def run_closed_loop(scenario: Scenario) -> RunResult:
         if do_reduced:
             # screening setup, also outside both timers
             v_uc = cache.v_uc_map @ z
-            v_tilde = condenser.shift_warm_start(prev, cqp, z)
+            v_tilde = (v_uc if prev is None
+                       else condenser.shift_warm_start(prev, cqp))
 
             def solve_step(kept):
                 red = screener.reduce_qp(cqp, kept)
@@ -171,10 +173,12 @@ def run_closed_loop(scenario: Scenario) -> RunResult:
                                         rhs=rhs[kept.indices])
 
             # screen and solve are timed back to back within each repeat
-            # so a load spike hits both measurements, not just one
-            kept, res_red, trace.t_screen_s, trace.t_solve_s = _timed_pair(
-                lambda: cache.step(v_tilde, v_uc, rhs), solve_step, repeats,
-                clock)
+            # so a load spike hits both measurements, not just one; an
+            # overflowing Fz keeps every row and fails the solve, unwarned
+            with np.errstate(over="ignore", invalid="ignore"):
+                kept, res_red, trace.t_screen_s, trace.t_solve_s = (
+                    _timed_pair(lambda: cache.step(v_tilde, v_uc, rhs),
+                                solve_step, repeats, clock))
             _require_optimal(res_red, k, traces)
             result = screener.expand_solution(res_red, kept, cqp, z, rhs=rhs)
             trace.n_kept = len(kept)
@@ -288,11 +292,15 @@ def screening_time_sweep(n_c_values=(500, 1000, 2000, 4000), n_v: int = 15,
 
     Returns the measured times plus slope/intercept and R^2 of a linear
     fit, for checking that screening scales linearly in n_c.  Raises
-    ValueError for `repeats < 1` or fewer than three distinct sizes: a
-    line through two points fits them with R^2 = 1, so it says nothing.
+    ValueError for `repeats` or `n_v` < 1, a negative n_c, or fewer
+    than three distinct sizes, since a line fits two points exactly.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
+    if n_v < 1:
+        raise ValueError(f"n_v must be >= 1, got {n_v}")
+    if min(n_c_values, default=0) < 0:
+        raise ValueError(f"n_c must be >= 0, got {min(n_c_values)}")
     if len(set(n_c_values)) < 3:
         raise ValueError("the fit needs at least three distinct n_c values")
     rng = np.random.default_rng(seed)

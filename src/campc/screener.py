@@ -165,20 +165,18 @@ def ellipsoid_bound(v_tilde: np.ndarray, eps_tilde: np.ndarray, qp: SoftQP,
 
 
 def screen(cache: Screener, bound: EllipsoidBound, z: np.ndarray,
-           eps_tilde: np.ndarray,
-           rhs: np.ndarray | None = None) -> KeptSet:
+           eps_tilde: np.ndarray) -> KeptSet:
     """Keep row j unless its half-space provably contains the ellipsoid.
 
     Row j is kept when sqrt(sigma)*zeta_j + tau >= |c_j + L_j z - W_j q|
     with tau = 1e-9 (1 + max|c + Lz|) (non-strict rule: a tangent
     constraint is kept), or when the candidate violates it
     (eps~_j > 0), and every row is kept when sigma is NaN or inf.  This
-    one rule decides every row, a zero-normal one included.  `rhs` may
-    carry a precomputed c + Lz.  `Screener.step` applies the same rule.
+    one rule decides every row, a zero-normal one included.
+    `Screener.step`, which the closed loop runs, applies the same rule.
     """
-    b = cache.qp.bound(z) if rhs is None else rhs
     margin = cache.qp.W @ bound.q
-    return cache._keep(bound.sigma, eps_tilde, b, margin)
+    return cache._keep(bound.sigma, eps_tilde, cache.qp.bound(z), margin)
 
 
 def reduce_qp(qp: SoftQP, kept: KeptSet) -> SoftQP:

@@ -34,6 +34,10 @@ class GaussianSpec:
     floor: float = 0.0
 
     def __post_init__(self):
+        center = np.asarray(self.center, dtype=float)
+        if center.shape != (2,) or not np.isfinite(center).all():
+            raise ValueError("Gaussian center must be two finite "
+                             f"coordinates, got {self.center!r}")
         if self.width <= 0.0:
             raise ValueError("Gaussian width must be positive")
 

@@ -1,3 +1,5 @@
+import csv
+import re
 from pathlib import Path
 
 import numpy as np
@@ -99,7 +101,7 @@ class TestMain:
         assert main(["selftest", "--instances", "20"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("pass") == 3
+        assert out.count("pass") == 4
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_selftest_needs_an_instance(self, capsys, count):
@@ -162,6 +164,35 @@ class TestMain:
         assert code == EXIT_SOLVER
         assert "NumericalFailure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("center", [[0.5], [0.1, 0.2, 0.3],
+                                        [float("nan"), 0.5]],
+                             ids=["one-entry", "three-entries", "nan"])
+    def test_bad_gaussian_center(self, tmp_path, capsys, center):
+        # numpy would broadcast a one-entry center to both axes
+        cfg = _write_yaml(tmp_path / "c.yaml", {
+            "thermal": {"n": 6, "output_block": 2, "horizon": 3,
+                        "bound": {"center": center}}})
+        assert main(["bench", "thermal", "--config", cfg]) == EXIT_CONFIG
+        assert "center" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", ["verify", "reduced"])
+    def test_late_overflowing_reference_is_a_solver_failure(
+            self, tmp_path, capsys, mode):
+        # the reference overflows Fz only from step 4 on, so the screen
+        # runs from a shifted candidate far from the huge v_uc
+        y_ref = np.ones((12, 1))
+        y_ref[6:] = 1.0e308
+        np.savez(tmp_path / "m.npz", A=0.5 * np.eye(2), B=np.eye(2),
+                 C=np.ones((1, 2)), Q=np.eye(1), R=np.eye(2), N=2,
+                 y_ref=y_ref, M_u=np.eye(2), g_u=np.ones(2),
+                 rho_u=np.ones(2))
+        cfg = _write_yaml(tmp_path / "c.yaml", {
+            "matrices": {"path": "m.npz"},
+            "scenario": {"steps": 8, "mode": mode}})
+        assert main(["run", "--config", cfg]) == EXIT_SOLVER
+        assert "at step 4" in capsys.readouterr().err
+
     def test_bench_thermal_small(self, tmp_path, capsys):
         cfg = _write_yaml(tmp_path / "c.yaml", {
             "thermal": {"n": 6, "output_block": 2, "horizon": 3},
@@ -196,9 +227,15 @@ class TestMain:
     @pytest.mark.parametrize("args", [
         ["--repeats", "0"], ["--n-c", "500"], ["--n-c", "500", "500"],
         ["--n-c", "0", "20", "--repeats", "1"],
-        ["--n-c", "500", "1000", "500"]])
-    def test_sweep_nc_bad_arguments(self, args):
+        ["--n-c", "500", "1000", "500"],
+        ["--n-v", "0"], ["--n-v", "-2"], ["--n-c", "-5", "20", "40"]])
+    def test_sweep_nc_bad_arguments(self, args, capsys):
         assert main(["sweep-nc", *args]) == EXIT_CONFIG
+        # a bad size is named, not left to a numpy error
+        name = {("--n-v", "0"): "n_v", ("--n-v", "-2"): "n_v",
+                ("--n-c", "-5"): "n_c"}.get(tuple(args[:2]))
+        if name:
+            assert f"{name} must be >= " in capsys.readouterr().err
 
     def test_run_requires_matrices(self, tmp_path):
         cfg = _write_yaml(tmp_path / "c.yaml", {"scenario": {"steps": 3}})
@@ -268,6 +305,49 @@ class TestMain:
             "matrices": {"path": "m.npz"}, "scenario": {"steps": 3}})
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("D, message", [
+        (np.ones((1, 2)), "D in .* must be zero"),
+        (np.array([[0.0, np.nan]]), "D in .* holds NaN or inf"),
+        (np.array([[0.0, np.inf]]), "D in .* holds NaN or inf"),
+        (np.zeros((2, 2)), "D in .* has shape"),
+        (np.zeros(1), "D in .* has shape")],
+        ids=["nonzero", "nan", "inf", "too-many", "too-few"])
+    def test_run_rejects_bad_feedthrough(self, tmp_path, capsys, D,
+                                         message):
+        # the model has no D: a container's D must be n_y*n_u zeros
+        data = dict(A=0.5 * np.eye(2), B=np.eye(2), C=np.ones((1, 2)),
+                    Q=np.eye(1), R=np.eye(2), N=2, y_ref=np.ones((5, 1)),
+                    D=D)
+        np.savez(tmp_path / "m.npz", **data)
+        cfg = _write_yaml(tmp_path / "c.yaml", {
+            "matrices": {"path": "m.npz"}, "scenario": {"steps": 3}})
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        assert re.search(message, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("D", [np.zeros((1, 2)), np.zeros(2)],
+                             ids=["matrix", "flat"])
+    def test_run_zero_feedthrough_changes_nothing(self, tmp_path, capsys,
+                                                  D):
+        # an all-zero D runs exactly as a container without one
+        data = dict(A=0.9 * np.eye(2), B=np.eye(2), C=np.ones((1, 2)),
+                    Q=np.eye(1), R=0.1 * np.eye(2), N=3,
+                    y_ref=np.ones((8, 1)), M_u=np.eye(2), g_u=np.ones(2),
+                    rho_u=np.ones(2))
+        rows = {}
+        for name, extra in (("without", {}), ("with", {"D": D})):
+            np.savez(tmp_path / f"{name}.npz", **data, **extra)
+            cfg = _write_yaml(tmp_path / f"{name}.yaml", {
+                "matrices": {"path": f"{name}.npz"},
+                "scenario": {"steps": 5, "mode": "reduced"}})
+            out = tmp_path / name
+            assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+            table = list(csv.DictReader(
+                (out / "trace.csv").read_text().splitlines()))
+            rows[name] = [{k: v for k, v in row.items()
+                           if not k.startswith("t_")} for row in table]
+        capsys.readouterr()
+        assert rows["with"] == rows["without"]
 
     def test_run_accepts_column_rho(self, tmp_path, capsys):
         # rho_x of shape (n_x, 1), as g_x may be

@@ -14,6 +14,7 @@ from campc.condenser import (
     KroneckerOperator,
     StateSpaceModel,
     TrackingProblem,
+    ZLayout,
     assemble_z,
     condense,
     extract_input,
@@ -387,11 +388,13 @@ class TestKroneckerOperator:
 
 class TestPerStepVectors:
     def test_assemble_z_concatenates(self):
-        assert np.array_equal(assemble_z([1.0], [2.0], [[3.0]]),
-                              [1.0, 2.0, 3.0])
+        assert np.array_equal(
+            assemble_z([1.0], [2.0], [[3.0]], ZLayout(1, 1, 1, 1)),
+            [1.0, 2.0, 3.0])
 
     def test_assemble_z_zeroes(self):
-        z = assemble_z(np.zeros(2), np.zeros(1), [np.zeros(1)] * 3)
+        z = assemble_z(np.zeros(2), np.zeros(1), [np.zeros(1)] * 3,
+                       ZLayout(2, 1, 1, 3))
         assert np.array_equal(z, np.zeros(6))
 
     def test_assemble_z_layout_check(self):
@@ -409,8 +412,7 @@ class TestPerStepVectors:
         prev = type(prev)(v_star=np.array([1.0, 2.0, 3.0]),
                           eps_star=prev.eps_star, objective=0.0,
                           status=prev.status, iterations=0, kkt_residual=0.0)
-        assert np.array_equal(shift_warm_start(prev, cqp, np.zeros(cqp.n_z)),
-                              [2.0, 3.0, 0.0])
+        assert np.array_equal(shift_warm_start(prev, cqp), [2.0, 3.0, 0.0])
 
     def test_warm_start_block_shift(self):
         model = StateSpaceModel(A=np.eye(2), B=np.eye(2), C=np.eye(2))
@@ -420,16 +422,8 @@ class TestPerStepVectors:
         prev = type(prev)(v_star=np.array([1.0, 2.0, 3.0, 4.0]),
                           eps_star=prev.eps_star, objective=0.0,
                           status=prev.status, iterations=0, kkt_residual=0.0)
-        assert np.array_equal(shift_warm_start(prev, cqp, np.zeros(cqp.n_z)),
+        assert np.array_equal(shift_warm_start(prev, cqp),
                               [3.0, 4.0, 0.0, 0.0])
-
-    def test_warm_start_cold(self):
-        model = StateSpaceModel(A=[[0.5]], B=[[1.0]], C=[[1.0]])
-        prob = TrackingProblem(Q=[[1.0]], R=[[1.0]], N=2)
-        cqp = condense(model, prob)
-        z = np.array([1.0, 0.0, 1.0, 1.0])
-        assert np.allclose(shift_warm_start(None, cqp, z),
-                           cqp.unconstrained_minimizer(z))
 
     def test_extract_input(self):
         assert np.allclose(extract_input([0.5], [2.0]), [2.5])
@@ -439,10 +433,6 @@ class TestPerStepVectors:
 
 
 class TestModelValidation:
-    def test_rejects_feedthrough(self):
-        with pytest.raises(ValueError):
-            StateSpaceModel(A=[[1.0]], B=[[1.0]], C=[[1.0]], D=[[1.0]])
-
     def test_rejects_nonsquare_a(self):
         # dense, and a Kronecker operator whose 6x6 product is square
         # although neither factor is
@@ -466,11 +456,10 @@ class TestModelValidation:
             StateSpaceModel(**mats)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("name", ["A", "B", "C", "D", "A.P", "A.Q"])
+    @pytest.mark.parametrize("name", ["A", "B", "C", "A.P", "A.Q"])
     def test_model_rejects_non_finite(self, name, bad):
         # "A.P" and "A.Q": A given as kron(P, Q), one factor non-finite
-        mats = dict(A=np.eye(2), B=np.ones((2, 1)), C=np.ones((1, 2)),
-                    D=np.zeros((1, 1)))
+        mats = dict(A=np.eye(2), B=np.ones((2, 1)), C=np.ones((1, 2)))
         factors = dict(P=np.eye(1), Q=np.eye(2))
         key = name.split(".")[-1]
         arrays = factors if "." in name else mats

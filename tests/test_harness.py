@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from campc import harness, thermal2d
+from campc import condenser, harness, screener, thermal2d
 from campc.harness import (
     CSV_COLUMNS,
     Scenario,
@@ -86,6 +86,28 @@ class TestClosedLoop:
         assert [t.objective for t in a.traces] == [
             t.objective for t in b.traces]
 
+    def test_step_zero_screens_from_v_uc(self, monkeypatch):
+        # with nothing to shift at step 0, the candidate is v_uc itself;
+        # every later step shifts the previous solution
+        screened, shifted = [], []
+        step, shift = screener.Screener.step, condenser.shift_warm_start
+
+        def recording_step(cache, v_tilde, v_uc, rhs):
+            screened.append((v_tilde, v_uc))
+            return step(cache, v_tilde, v_uc, rhs)
+
+        def recording_shift(prev, qp):
+            shifted.append(prev)
+            return shift(prev, qp)
+
+        monkeypatch.setattr(screener.Screener, "step", recording_step)
+        monkeypatch.setattr(condenser, "shift_warm_start", recording_shift)
+        run_closed_loop(_small_scenario(mode="reduced", steps=3))
+        assert len(screened) == 3
+        assert np.array_equal(*screened[0])
+        assert len(shifted) == 2
+        assert all(prev is not None for prev in shifted)
+
     def test_verify_mode_deviation_recorded(self):
         res = run_closed_loop(_small_scenario(mode="verify"))
         for trace in res.traces:
@@ -137,7 +159,8 @@ class TestTraceCsv:
             path = tmp_path / name
             write_trace_csv(res.traces, path, n_u=3)
             paths.append(path)
-        rows_a, rows_b = (list(csv.reader(open(p))) for p in paths)
+        rows_a, rows_b = (list(csv.reader(p.read_text().splitlines()))
+                          for p in paths)
         header = rows_a[0]
         assert header == list(CSV_COLUMNS) + ["u_0", "u_1", "u_2"]
         assert len(rows_a) == 5
@@ -153,7 +176,7 @@ class TestTraceCsv:
         res = run_closed_loop(_small_scenario(mode="reduced", steps=3))
         path = tmp_path / "t.csv"
         write_trace_csv(res.traces, path, n_u=3)
-        rows = list(csv.DictReader(open(path)))
+        rows = list(csv.DictReader(path.read_text().splitlines()))
         for row in rows:
             assert row["t_solve_full_s"] == ""
             assert row["dev_inf"] == ""
@@ -183,3 +206,10 @@ class TestScreeningSweep:
         # a line through two points fits them exactly: R^2 = 1 on no evidence
         with pytest.raises(ValueError, match="three distinct"):
             screening_time_sweep(n_c_values=sizes, repeats=2)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(n_v=0), "n_v"), (dict(n_v=-2), "n_v"),
+        (dict(n_c_values=(-5, 20, 40)), "n_c")])
+    def test_rejects_bad_sizes(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= "):
+            screening_time_sweep(repeats=2, **kwargs)

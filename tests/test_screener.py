@@ -325,9 +325,6 @@ class TestCondensedRightHandSide:
             bound = ellipsoid_bound(v_tilde, eps_tilde, cqp, z)
             cache = precompute_row_norms(cqp)
             kept = screen(cache, bound, z, eps_tilde)
-            assert np.array_equal(
-                kept.indices,
-                screen(cache, bound, z, eps_tilde, rhs=rhs).indices)
             red = solve_soft_qp(reduce_qp(cqp, kept), z,
                                 rhs=rhs[kept.indices])
             out = expand_solution(red, kept, cqp, z)

@@ -80,6 +80,13 @@ class TestGaussianField:
         with pytest.raises(ValueError):
             GaussianSpec(width=0.0)
 
+    @pytest.mark.parametrize("center", [(0.5,), (0.1, 0.2, 0.3),
+                                        (np.nan, 0.5), (0.5, np.inf)])
+    def test_rejects_center_not_two_finite_coordinates(self, center):
+        # a one-entry center would broadcast to both axes
+        with pytest.raises(ValueError, match="center"):
+            GaussianSpec(center=center)
+
     def test_grid_coordinates_corners(self):
         r = grid_coordinates(3)
         assert r.shape == (9, 2)
