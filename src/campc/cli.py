@@ -44,7 +44,15 @@ def load_config(path) -> dict:
     return cfg
 
 
-SCENARIO_KEYS = {"mode": str, "steps": int, "timing_repeats": int}
+def _integer(value) -> int:
+    """int(value), refusing what int() would truncate or read as 0 or 1."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+SCENARIO_KEYS = {"mode": str, "steps": _integer, "timing_repeats": _integer}
 GAUSSIAN_KEYS = {"center": tuple, "width": float, "peak": float,
                  "floor": float}
 
@@ -59,10 +67,13 @@ def _section_options(section, name: str, converters: dict) -> dict:
     unknown = sorted(set(section) - set(converters))
     if unknown:
         raise ConfigError(f"unknown {name} config keys: {unknown}")
-    try:
-        return {key: converters[key](value) for key, value in section.items()}
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {name} value: {exc}") from exc
+    kwargs = {}
+    for key, value in section.items():
+        try:
+            kwargs[key] = converters[key](value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad {name} value for {key}: {exc}") from exc
+    return kwargs
 
 
 def _gaussian_spec(entry, default, name: str) -> thermal2d.GaussianSpec:
@@ -75,11 +86,10 @@ def _gaussian_spec(entry, default, name: str) -> thermal2d.GaussianSpec:
 def thermal_config(section: dict | None) -> thermal2d.ThermalConfig:
     kwargs = _section_options(section, "thermal", {
         **dict.fromkeys(("n", "horizon", "ref_ramp_steps", "output_block"),
-                        int),
+                        _integer),
         **dict.fromkeys(("alpha", "beta", "reaction_sign", "boundary_sign",
                          "dt", "q_scale", "r_scale", "rho_scale",
                          "ref_target"), float),
-        "output_nodes": lambda nodes: tuple(int(j) for j in nodes),
         "loads": lambda entries: tuple(
             _gaussian_spec(e, thermal2d.GaussianSpec(), "loads entry")
             for e in entries),
@@ -94,7 +104,7 @@ def thermal_config(section: dict | None) -> thermal2d.ThermalConfig:
 
 def solver_options(section: dict | None) -> SolverOptions:
     kwargs = _section_options(section, "solver", {
-        "tol": float, "max_iterations": int})
+        "tol": float, "max_iterations": _integer})
     try:
         return SolverOptions(**kwargs)
     except ValueError as exc:
@@ -273,7 +283,7 @@ def cmd_selftest(args) -> int:
         bound = screener.ellipsoid_bound(v_tilde, eps_tilde, qp, z)
         member_ok &= bound.radius_sq(oracle.v_star) <= bound.sigma * (1 + 1e-7) + 1e-9
         cache = screener.precompute_row_norms(qp)
-        kept = screener.screen(cache, bound, z, eps_tilde)
+        kept = screener.screen(cache, bound, z)
         # the closed loop screens through Screener.step: same rule
         step = cache.step(v_tilde, qp.unconstrained_minimizer(z), qp.bound(z))
         step_ok &= np.array_equal(step.indices, kept.indices)

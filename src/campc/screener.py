@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from campc.numqp import DimensionError, SoftQP, SolveResult
+from campc.numqp import DimensionError, SoftQP, SolveResult, _checked_rhs
 
 
 # largest slack a removed row may need at the reduced minimizer
@@ -47,7 +47,10 @@ class KeptSet:
     n_c: int
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=int).ravel()
+        idx = np.asarray(self.indices)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise TypeError(f"kept indices must be integers, got {idx.dtype}")
+        idx = np.array(idx, dtype=int).ravel()  # a copy the caller can't write
         if len(idx) and (idx.min() < 0 or idx.max() >= self.n_c):
             raise IndexError("kept index out of range")
         if np.any(np.diff(idx) <= 0):
@@ -70,7 +73,7 @@ class Screener:
     n_v x n_z product instead of a product with F and two triangular
     solves.  One keep rule (see `screen`) decides every row; a row with
     a zero normal (zeta_j = 0) needs no rule of its own, since it is
-    kept exactly when the candidate violates it or |c_j + L_j z| <= tau.
+    kept exactly when c_j + L_j z <= tau.
     """
 
     zeta: np.ndarray
@@ -82,25 +85,25 @@ class Screener:
         """Screen from candidate v~, unconstrained minimizer v_uc and
         rhs = c + Lz.
 
-        Completes the slacks eps~ = max(0, Wv~ - rhs), forms
-        sigma = rho'eps~ + |G(v~ - v_uc)|^2 / 4 and applies the keep
+        Completes the slacks eps~ = max(0, Wv~ - rhs), which enter only
+        sigma = rho'eps~ + |G(v~ - v_uc)|^2 / 4, and applies the keep
         rule of `screen`.  The ellipsoid center q = (v~ + v_uc)/2
         enters only through W q, so it is formed in constraint-row
         space.
         """
         qp = self.qp
         Wvt = qp.W @ v_tilde
-        Wvu = qp.W @ v_uc
         eps_tilde = Wvt - rhs
         np.maximum(eps_tilde, 0.0, out=eps_tilde)
         Gd = qp.G @ (v_tilde - v_uc)
         sigma = float(qp.rho @ eps_tilde + 0.25 * (Gd @ Gd))
-        Wvt += Wvu
+        Wvt += qp.W @ v_uc
         Wvt *= 0.5
-        return self._keep(sigma, eps_tilde, rhs, Wvt)
+        return self._keep(sigma, rhs, Wvt)
 
-    def _keep(self, sigma: float, eps_tilde, b, margin) -> KeptSet:
-        """Keep rule; overwrites `margin` (W q on entry) in place."""
+    def _keep(self, sigma: float, b, margin) -> KeptSet:
+        """Keep rule; overwrites `margin` (W q on entry) in place.  A row
+        the candidate violates needs no clause: v~ lies in the ellipsoid."""
         if sigma < np.inf:
             rad = np.sqrt(max(sigma, 0.0))
             # reach of the ellipsoid along W_j plus a small safety margin
@@ -108,10 +111,7 @@ class Screener:
             thresh = rad * self.zeta
             thresh += tau
             gap = np.subtract(b, margin, out=margin)
-            np.abs(gap, out=gap)
-            keep = thresh >= gap
-            keep |= eps_tilde > 0.0
-            idx = np.flatnonzero(keep)
+            idx = np.flatnonzero(gap <= thresh)
         else:
             # a NaN or infinite sigma bounds nothing: keep every row
             idx = np.arange(self.qp.n_c)
@@ -133,19 +133,15 @@ def precompute_row_norms(qp: SoftQP) -> Screener:
     return Screener(zeta=np.linalg.norm(Y, axis=0), qp=qp, v_uc_map=v_uc_map)
 
 
-def complete_slacks(v_tilde: np.ndarray, qp: SoftQP, z: np.ndarray,
-                    rhs: np.ndarray | None = None) -> np.ndarray:
-    """Minimal slacks making (v~, eps~) feasible: max(0, Wv~ - c - Lz).
-
-    `rhs` may carry a precomputed c + Lz.
-    """
+def complete_slacks(v_tilde: np.ndarray, qp: SoftQP,
+                    z: np.ndarray) -> np.ndarray:
+    """Minimal slacks making (v~, eps~) feasible: max(0, Wv~ - c - Lz),
+    with c + Lz formed by `qp.bound`."""
     v_tilde = np.asarray(v_tilde, dtype=float).ravel()
     if len(v_tilde) != qp.n_v:
         raise DimensionError(
             f"candidate has length {len(v_tilde)}, expected {qp.n_v}")
-    if rhs is None:
-        rhs = qp.bound(z)
-    return np.maximum(0.0, qp.W @ v_tilde - rhs)
+    return np.maximum(0.0, qp.W @ v_tilde - qp.bound(z))
 
 
 def ellipsoid_bound(v_tilde: np.ndarray, eps_tilde: np.ndarray, qp: SoftQP,
@@ -164,19 +160,17 @@ def ellipsoid_bound(v_tilde: np.ndarray, eps_tilde: np.ndarray, qp: SoftQP,
     return EllipsoidBound(q=q, sigma=sigma, G=qp.G)
 
 
-def screen(cache: Screener, bound: EllipsoidBound, z: np.ndarray,
-           eps_tilde: np.ndarray) -> KeptSet:
+def screen(cache: Screener, bound: EllipsoidBound, z: np.ndarray) -> KeptSet:
     """Keep row j unless its half-space provably contains the ellipsoid.
 
-    Row j is kept when sqrt(sigma)*zeta_j + tau >= |c_j + L_j z - W_j q|
-    with tau = 1e-9 (1 + max|c + Lz|) (non-strict rule: a tangent
-    constraint is kept), or when the candidate violates it
-    (eps~_j > 0), and every row is kept when sigma is NaN or inf.  This
-    one rule decides every row, a zero-normal one included.
+    With b = c + Lz, row j is kept when
+    b_j - W_j q <= sqrt(sigma)*zeta_j + tau, tau = 1e-9 (1 + max|b|)
+    (non-strict rule: a tangent constraint is kept), and every row is
+    kept when sigma is NaN or inf.  This one-sided test decides every
+    row, a zero-normal one and one the candidate violates included.
     `Screener.step`, which the closed loop runs, applies the same rule.
     """
-    margin = cache.qp.W @ bound.q
-    return cache._keep(bound.sigma, eps_tilde, cache.qp.bound(z), margin)
+    return cache._keep(bound.sigma, cache.qp.bound(z), cache.qp.W @ bound.q)
 
 
 def reduce_qp(qp: SoftQP, kept: KeptSet) -> SoftQP:
@@ -191,19 +185,22 @@ def reduce_qp(qp: SoftQP, kept: KeptSet) -> SoftQP:
 
 
 def expand_solution(red: SolveResult, kept: KeptSet, qp, z: np.ndarray,
-                    rhs: np.ndarray | None = None) -> SolveResult:
+                    rhs: np.ndarray) -> SolveResult:
     """Re-embed a reduced solution into the full constraint ordering.
 
-    Slacks for removed rows are recomputed from the minimizer; any of
-    them exceeding REMOVED_SLACK_TOL signals an unsound screening
-    decision.  `rhs` may carry a precomputed c + Lz.
+    `rhs` is the full problem's c + Lz.  Slacks for removed rows are
+    recomputed from the minimizer as max(0, Wv - rhs); any of them
+    exceeding REMOVED_SLACK_TOL signals an unsound screening decision.
     """
+    if kept.n_c != qp.n_c:
+        raise DimensionError("kept set built for a different problem")
+    if len(red.eps_star) != len(kept):
+        raise DimensionError("reduced slacks do not match the kept rows")
     v = np.asarray(red.v_star, dtype=float).ravel()
-    eps = complete_slacks(v, qp, z, rhs=rhs)
-    removed = np.ones(qp.n_c, dtype=bool)
-    removed[kept.indices] = False
-    if eps[removed].max(initial=0.0) > REMOVED_SLACK_TOL:
-        j = int(np.flatnonzero(removed)[np.argmax(eps[removed])])
+    eps = np.maximum(0.0, qp.W @ v - _checked_rhs(qp, rhs))
+    eps[kept.indices] = 0.0    # the max below runs over removed rows
+    if eps.max(initial=0.0) > REMOVED_SLACK_TOL:
+        j = int(np.argmax(eps))
         raise EquivalenceViolation(
             f"removed constraint {j} violated by {eps[j]:.3e}")
     eps[kept.indices] = red.eps_star

@@ -14,7 +14,7 @@ its block exponential as the reference they compare against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -54,7 +54,7 @@ class ThermalConfig:
                          for cx in (0.3, 0.5, 0.7))
     bound: GaussianSpec = GaussianSpec(width=0.45, peak=11.5)  # upper bound
     output_block: int = 5          # side of the centered output square
-    output_nodes: tuple = None     # explicit node indices; overrides block
+    output_nodes: tuple = field(init=False)   # row-major nodes of the square
     horizon: int = 5
     q_scale: float = 1.0
     r_scale: float = 1.0
@@ -78,21 +78,13 @@ class ThermalConfig:
             raise ValueError("q_scale and r_scale must be nonnegative")
         if self.q_scale == self.r_scale == 0.0:
             raise ValueError("q_scale and r_scale cannot both be zero")
-        nodes = self.output_nodes
-        if nodes is None:
-            side = self.output_block
-            if not 1 <= side <= self.n:
-                raise ValueError("output block does not fit the grid")
-            start = (self.n - side + 1) // 2
-            nodes = tuple(i * self.n + j
-                          for i in range(start, start + side)
-                          for j in range(start, start + side))
-        nodes = tuple(int(j) for j in nodes)
-        if not nodes:
-            raise ValueError("output region must be nonempty")
-        if min(nodes) < 0 or max(nodes) >= self.n * self.n:
-            raise ValueError("output node index outside the grid")
-        object.__setattr__(self, "output_nodes", nodes)
+        side = self.output_block
+        if not 1 <= side <= self.n:
+            raise ValueError("output block does not fit the grid")
+        start = (self.n - side + 1) // 2
+        object.__setattr__(self, "output_nodes", tuple(
+            i * self.n + j for i in range(start, start + side)
+            for j in range(start, start + side)))
 
     @property
     def h(self) -> float:

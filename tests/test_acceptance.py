@@ -64,7 +64,7 @@ def test_criterion_2_micro_equivalence():
         eps_tilde = screener.complete_slacks(v_tilde, qp, z)
         bound = screener.ellipsoid_bound(v_tilde, eps_tilde, qp, z)
         cache = screener.precompute_row_norms(qp)
-        kept = screener.screen(cache, bound, z, eps_tilde)
+        kept = screener.screen(cache, bound, z)
         full = enumerate_oracle(qp, z)
         red = enumerate_oracle(screener.reduce_qp(qp, kept), z)
         scale = 1.0 + np.abs(full.v_star).max()
@@ -121,13 +121,10 @@ def test_criterion_6_ellipsoid_properties():
         ok_b &= bound.contains(v_star, rel_tol=1e-7)
         cache = screener.precompute_row_norms(qp)
         s1, s2 = sorted(rng.uniform(0.0, 4.0, size=2))
-        eps0 = np.zeros(qp.n_c)
         k1 = screener.screen(
-            cache, screener.EllipsoidBound(q=bound.q, sigma=s1, G=qp.G),
-            z, eps0)
+            cache, screener.EllipsoidBound(q=bound.q, sigma=s1, G=qp.G), z)
         k2 = screener.screen(
-            cache, screener.EllipsoidBound(q=bound.q, sigma=s2, G=qp.G),
-            z, eps0)
+            cache, screener.EllipsoidBound(q=bound.q, sigma=s2, G=qp.G), z)
         ok_c &= set(k1.indices) <= set(k2.indices)
     _line(6, "ellipsoid properties", ok_a and ok_b and ok_c,
           f"10000 triples: candidate-in {ok_a}, minimizer-in {ok_b}, "

@@ -144,11 +144,34 @@ class TestMain:
         {"thermal": {"beta": float("inf")}},
         {"thermal": {"dt": float("nan")}},
         {"thermal": {"ref_target": float("nan")}},
-        {"thermal": {"ref_target": float("inf")}}])
+        {"thermal": {"ref_target": float("inf")}},
+        {"thermal": {"horizon": 2.5}}, {"scenario": {"steps": 7.8}},
+        {"thermal": {"n": 6.5}}, {"thermal": {"ref_ramp_steps": 1.5}},
+        {"thermal": {"output_block": 2.5}},
+        {"scenario": {"timing_repeats": 1.5}},
+        {"solver": {"max_iterations": 50.5}}, {"thermal": {"horizon": True}},
+        {"scenario": {"timing_repeats": True}},
+        {"thermal": {"output_nodes": [14, 15]}}])
     def test_bad_config_value_exit_code(self, tmp_path, section):
         cfg = _write_yaml(tmp_path / "c.yaml", {
             "thermal": {"n": 6, "output_block": 2, "horizon": 3}, **section})
         assert main(["bench", "thermal", "--config", cfg]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("convert, key", [
+        (thermal_config, "n"), (thermal_config, "horizon"),
+        (thermal_config, "ref_ramp_steps"), (thermal_config, "output_block"),
+        (scenario_options, "steps"), (scenario_options, "timing_repeats"),
+        (solver_options, "max_iterations")])
+    def test_integer_key_takes_integers_only(self, convert, key):
+        # int() would truncate 2.5 to 2 and read true as 1; the error
+        # names the key, and 5 and "5" both still read as 5
+        for value in (2.5, True):
+            with pytest.raises(ConfigError, match=f"for {key}:"):
+                convert({key: value})
+        for value in (5, "5"):
+            got = convert({key: value})
+            assert (got[key] if isinstance(got, dict)
+                    else getattr(got, key)) == 5
 
     # no mode may warn of the overflow: with warnings as errors the
     # warning would end the run before it reports the solver failure

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ def _screen_pipeline(qp, z, v_tilde):
     eps_tilde = complete_slacks(v_tilde, qp, z)
     bound = ellipsoid_bound(v_tilde, eps_tilde, qp, z)
     cache = precompute_row_norms(qp)
-    kept = screen(cache, bound, z, eps_tilde)
+    kept = screen(cache, bound, z)
     return eps_tilde, bound, kept
 
 
@@ -152,9 +154,8 @@ class TestScreen:
             cache = precompute_row_norms(qp)
             q = rng.normal(size=qp.n_v)
             s1, s2 = sorted(rng.uniform(0.0, 5.0, size=2))
-            eps = np.zeros(qp.n_c)
-            k1 = screen(cache, EllipsoidBound(q=q, sigma=s1, G=qp.G), z, eps)
-            k2 = screen(cache, EllipsoidBound(q=q, sigma=s2, G=qp.G), z, eps)
+            k1 = screen(cache, EllipsoidBound(q=q, sigma=s1, G=qp.G), z)
+            k2 = screen(cache, EllipsoidBound(q=q, sigma=s2, G=qp.G), z)
             assert set(k1.indices) <= set(k2.indices)
 
     def test_active_rows_never_removed(self):
@@ -193,7 +194,7 @@ class TestScreen:
             assert np.isnan(bound.sigma)
             assert list(kept.indices) == list(range(qp.n_c))
             inf = EllipsoidBound(q=np.zeros(qp.n_v), sigma=np.inf, G=qp.G)
-            kept = screen(precompute_row_norms(qp), inf, z, np.zeros(qp.n_c))
+            kept = screen(precompute_row_norms(qp), inf, z)
             assert list(kept.indices) == list(range(qp.n_c))
 
 
@@ -213,6 +214,27 @@ class TestScreenerStep:
                              qp.bound(z))
             assert np.array_equal(got.indices, want.indices)
             assert got.n_c == qp.n_c
+
+    def test_candidate_violated_rows_kept(self):
+        # the one-sided rule has no clause for a row the candidate
+        # violates: v~ lies in the ellipsoid, so the rule keeps it; half
+        # the instances scale their rows by 1e-8 to 1e8
+        rng = np.random.default_rng(41)
+        violated = 0
+        for i in range(2000):
+            qp, z = random_soft_qp(rng)
+            if i % 2:
+                s = 10.0 ** rng.uniform(-8.0, 8.0, size=qp.n_c)
+                qp = SoftQP(H=qp.H, F=qp.F, W=s[:, None] * qp.W, c=s * qp.c,
+                            L=s[:, None] * qp.L, rho=qp.rho)
+            v_tilde = rng.normal(scale=2.0, size=qp.n_v)
+            eps_tilde, _, want = _screen_pipeline(qp, z, v_tilde)
+            got = precompute_row_norms(qp).step(
+                v_tilde, qp.unconstrained_minimizer(z), qp.bound(z))
+            assert np.array_equal(got.indices, want.indices)
+            assert np.isin(np.flatnonzero(eps_tilde > 0.0), got.indices).all()
+            violated += np.count_nonzero(eps_tilde > 0.0)
+        assert violated > 0
 
     def test_is_sound(self):
         rng = np.random.default_rng(37)
@@ -308,8 +330,9 @@ class TestUnconstrainedMinimizerMap:
 
 class TestCondensedRightHandSide:
     def test_fallbacks_use_the_rollout(self):
-        # without rhs, each call on a CondensedQP forms c + Lz through
-        # cqp.bound: the results equal those given cqp.bound(z) exactly
+        # complete_slacks and screen form c + Lz through cqp.bound on a
+        # CondensedQP: they agree exactly with Screener.step and
+        # expand_solution given rhs = cqp.bound(z)
         rng = np.random.default_rng(36)
         checked = 0
         for _ in range(40):
@@ -320,16 +343,17 @@ class TestCondensedRightHandSide:
             rhs = cqp.bound(z)
             v_tilde = rng.normal(size=cqp.n_v)
             eps_tilde = complete_slacks(v_tilde, cqp, z)
-            assert np.array_equal(
-                eps_tilde, complete_slacks(v_tilde, cqp, z, rhs=rhs))
             bound = ellipsoid_bound(v_tilde, eps_tilde, cqp, z)
             cache = precompute_row_norms(cqp)
-            kept = screen(cache, bound, z, eps_tilde)
+            kept = screen(cache, bound, z)
+            step = cache.step(v_tilde, cqp.unconstrained_minimizer(z), rhs)
+            assert np.array_equal(kept.indices, step.indices)
             red = solve_soft_qp(reduce_qp(cqp, kept), z,
                                 rhs=rhs[kept.indices])
-            out = expand_solution(red, kept, cqp, z)
-            want = expand_solution(red, kept, cqp, z, rhs=rhs)
-            assert np.array_equal(out.eps_star, want.eps_star)
+            out = expand_solution(red, kept, cqp, z, rhs=rhs)
+            removed = np.setdiff1d(np.arange(cqp.n_c), kept.indices)
+            assert np.array_equal(out.eps_star[removed], complete_slacks(
+                out.v_star, cqp, z)[removed])
             checked += 1
         assert checked > 10
 
@@ -360,7 +384,7 @@ class TestReduceAndExpand:
         assert np.array_equal(red.W, qp.W)
         assert np.array_equal(red.c, qp.c)
         res = solve_soft_qp(red, z)
-        out = expand_solution(res, kept, qp, z)
+        out = expand_solution(res, kept, qp, z, rhs=qp.bound(z))
         assert np.array_equal(out.v_star, res.v_star)
         assert np.allclose(out.eps_star, res.eps_star, atol=1e-9)
 
@@ -372,7 +396,7 @@ class TestReduceAndExpand:
         assert red.n_c == 0
         res = solve_soft_qp(red, z)
         assert np.allclose(res.v_star, [1.0])
-        out = expand_solution(res, kept, qp, z)
+        out = expand_solution(res, kept, qp, z, rhs=qp.bound(z))
         assert np.array_equal(out.eps_star, [0.0])
 
     def test_removed_inactive_row_gets_zero_slack(self):
@@ -381,7 +405,7 @@ class TestReduceAndExpand:
         z = [-1.0]
         kept = KeptSet(indices=np.array([0]), n_c=2)
         res = solve_soft_qp(reduce_qp(qp, kept), z)
-        out = expand_solution(res, kept, qp, z)
+        out = expand_solution(res, kept, qp, z, rhs=qp.bound(z))
         assert np.allclose(out.v_star, [0.5], atol=1e-7)
         assert abs(out.eps_star[1]) <= 1e-9
 
@@ -392,10 +416,38 @@ class TestReduceAndExpand:
         kept = KeptSet(indices=np.zeros(0, dtype=int), n_c=1)
         res = solve_soft_qp(reduce_qp(qp, kept), z)
         with pytest.raises(EquivalenceViolation):
-            expand_solution(res, kept, qp, z)
+            expand_solution(res, kept, qp, z, rhs=qp.bound(z))
 
     def test_kept_set_validation(self):
         with pytest.raises(IndexError):
             KeptSet(indices=np.array([0, 5]), n_c=3)
         with pytest.raises(ValueError):
             KeptSet(indices=np.array([2, 1]), n_c=3)
+        with pytest.raises(TypeError, match="integers"):
+            KeptSet(indices=[0.5, 1.9], n_c=3)
+        # the checked indices do not change when the caller's array does
+        idx = np.array([0, 2])
+        kept = KeptSet(indices=idx, n_c=3)
+        idx[0] = 5
+        assert list(kept.indices) == [0, 2]
+
+    def test_expand_checks_its_inputs(self):
+        # each input of expand_solution must fit the problem: a one-row
+        # result over three kept rows would broadcast its slack, and a
+        # kept set of another problem would index the wrong rows
+        qp = SoftQP(H=[[2.0]], F=[[2.0]], W=np.ones((3, 1)),
+                    c=[2.0, 3.0, 4.0], L=np.zeros((3, 1)), rho=np.ones(3))
+        z = [-1.0]
+        rhs = qp.bound(z)
+        kept = KeptSet(indices=np.arange(3), n_c=3)
+        res = solve_soft_qp(reduce_qp(qp, kept), z)
+        assert np.array_equal(
+            expand_solution(res, kept, qp, z, rhs=rhs).eps_star, np.zeros(3))
+        one_row = dataclasses.replace(res, eps_star=np.array([0.25]))
+        for args, match in (
+                ((one_row, kept, qp, z, rhs), "slacks"),
+                ((res, KeptSet(indices=np.arange(3), n_c=4), qp, z, rhs),
+                 "different problem"),
+                ((res, kept, qp, z, rhs[:2]), "rhs")):
+            with pytest.raises(DimensionError, match=match):
+                expand_solution(*args)

@@ -314,12 +314,3 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ThermalConfig(n=4, output_block=5)
 
-    def test_rejects_out_of_range_output_node(self):
-        with pytest.raises(ValueError):
-            ThermalConfig(n=4, output_block=1, output_nodes=(16,))
-
-    def test_explicit_output_nodes(self):
-        model, _, cfg = build_thermal_benchmark(
-            ThermalConfig(n=4, output_block=1, output_nodes=(0, 5)))
-        assert model.n_y == 2
-        assert model.C[0, 0] == 1.0 and model.C[1, 5] == 1.0
