@@ -27,7 +27,7 @@ import numpy as np
 from scipy import sparse
 
 from campc.numqp import (DimensionError, SoftQP, SolveResult, _as_matrix,
-                         _as_vector, _require_finite)
+                         _as_vector, _require_count, _require_finite)
 
 KIND_STATE = "state"
 KIND_INPUT = "input"
@@ -190,9 +190,7 @@ class TrackingProblem:
     rate_constraints: ConstraintBlock = None
 
     def __post_init__(self):
-        if not isinstance(self.N, (int, np.integer)) or self.N < 1:
-            raise ValueError(
-                f"horizon N must be an integer >= 1, got {self.N!r}")
+        _require_count("horizon N", self.N, 1)
         Q = _as_matrix(self.Q, "Q")
         R = _as_matrix(self.R, "R")
         _require_finite(Q=Q, R=R)

@@ -43,6 +43,7 @@ from campc.numqp import (
     SolverOptions,
     solve_active_set,
     solve_soft_qp,
+    _require_count,
 )
 
 MODES = ("full", "reduced", "verify")
@@ -69,12 +70,10 @@ class Scenario:
     timing_repeats: int = 1   # best-of-R timing of the pure per-step work
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("step count must be >= 1")
+        _require_count("steps", self.steps, 1)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.timing_repeats < 1:
-            raise ValueError("timing_repeats must be >= 1")
+        _require_count("timing_repeats", self.timing_repeats, 1)
         if self.x0 is None:
             self.x0 = np.zeros(self.model.n_x)
         if self.u_prev0 is None:
@@ -292,15 +291,14 @@ def screening_time_sweep(n_c_values=(500, 1000, 2000, 4000), n_v: int = 15,
 
     Returns the measured times plus slope/intercept and R^2 of a linear
     fit, for checking that screening scales linearly in n_c.  Raises
-    ValueError for `repeats` or `n_v` < 1, a negative n_c, or fewer
-    than three distinct sizes, since a line fits two points exactly.
+    ValueError unless `repeats` and `n_v` are integers >= 1 and every
+    n_c an integer >= 0, or for fewer than three distinct sizes, since
+    a line fits two points exactly.
     """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    if n_v < 1:
-        raise ValueError(f"n_v must be >= 1, got {n_v}")
-    if min(n_c_values, default=0) < 0:
-        raise ValueError(f"n_c must be >= 0, got {min(n_c_values)}")
+    _require_count("repeats", repeats, 1)
+    _require_count("n_v", n_v, 1)
+    for n_c in n_c_values:
+        _require_count("n_c", n_c, 0)
     if len(set(n_c_values)) < 3:
         raise ValueError("the fit needs at least three distinct n_c values")
     rng = np.random.default_rng(seed)

@@ -85,6 +85,15 @@ def _require_finite(**arrays):
             raise ValueError(f"{name} holds NaN or inf")
 
 
+def _require_count(name, value, minimum):
+    """Raise ValueError unless `value` is an int or np.integer, not a
+    bool, and at least `minimum`."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < minimum):
+        raise ValueError(
+            f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def cholesky_factor(H: np.ndarray) -> np.ndarray:
     """Upper-triangular G with H = G'G.
 
@@ -194,9 +203,7 @@ class SolverOptions:
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
-        if not self.max_iterations >= 1:
-            raise ValueError(
-                f"max_iterations must be >= 1, got {self.max_iterations}")
+        _require_count("max_iterations", self.max_iterations, 1)
 
 
 @dataclass(frozen=True)
@@ -217,19 +224,12 @@ def _kkt_residual(qp, b, g, v, eps, lam, mu):
     scale = 1.0 + max(np.abs(g).max(initial=0.0),
                       np.abs(b).max(initial=0.0),
                       qp.rho.max(initial=0.0))
-    stat_v = qp.H @ v + g + qp.W.T @ lam
-    stat_e = qp.rho - lam - mu
     viol = qp.W @ v - b - eps
-    prim = max(viol.max(initial=0.0),
-               -eps.min(initial=0.0),
-               # dual feasibility: multipliers must stay nonnegative
-               -lam.min(initial=0.0),
-               -mu.min(initial=0.0))
-    comp = max(np.abs(lam * viol).max(initial=0.0),
-               np.abs(mu * eps).max(initial=0.0))
-    stat = max(np.abs(stat_v).max(initial=0.0),
-               np.abs(stat_e).max(initial=0.0))
-    return max(stat, prim, comp) / scale
+    return np.concatenate([
+        np.abs(qp.H @ v + g + qp.W.T @ lam), np.abs(qp.rho - lam - mu),
+        # primal feasibility, and dual: multipliers must stay nonnegative
+        viol, -eps, -lam, -mu,
+        np.abs(lam * viol), np.abs(mu * eps)]).max(initial=0.0) / scale
 
 
 def solve_soft_qp(qp: SoftQP, z: np.ndarray,
@@ -481,8 +481,20 @@ def enumerate_oracle(qp: SoftQP, z: np.ndarray) -> SolveResult:
       - inactive: W_j v < b_j, eps_j = 0, multiplier 0;
       - at the boundary: W_j v = b_j, eps_j = 0, multiplier in [0, rho_j];
       - violated: W_j v > b_j, eps_j > 0, multiplier pinned at rho_j.
-    Structures are tried with few non-inactive rows first; the first
-    KKT-consistent candidate is the global minimizer (convex problem).
+    Structures are tried with few non-inactive rows first, and among
+    those with few boundary rows first; the first KKT-consistent
+    candidate is the global minimizer (convex problem).
+
+    Each structure's equality system is the KKT matrix
+    [[H, W_E'], [W_E, 0]] of its boundary rows E.  With H definite it
+    is singular exactly when the rows of W_E are dependent (a zero row
+    among them counts), and such a structure is skipped.  That loses no
+    minimizer: if it were consistent with multipliers lam_E, a vertex
+    of {l in [0, rho_E] : W_E'l = W_E'lam_E} gives the same v with
+    independent boundary rows and every other row of E inactive
+    (multiplier 0, residual 0) or pinned (multiplier rho_j, slack 0).
+    That structure has fewer boundary rows and no more non-inactive
+    ones, so the enumeration reaches it first.
     """
     if qp.n_v > ORACLE_MAX_N_V or qp.n_c > ORACLE_MAX_N_C:
         raise SizeGuardError(
@@ -502,7 +514,7 @@ def enumerate_oracle(qp: SoftQP, z: np.ndarray) -> SolveResult:
     tried = 0
     # hypotheses grouped by (|E|, |P|) and visited with few non-inactive
     # rows first; at a basic optimum |E| <= n_v, so larger E sets are
-    # skipped (their KKT systems are singular for generic data)
+    # skipped (their rows are dependent)
     for k in range(n_c + 1):
         for e in range(min(k, n_v, n_c) + 1):
             p = k - e
@@ -516,8 +528,7 @@ def enumerate_oracle(qp: SoftQP, z: np.ndarray) -> SolveResult:
             for lo in range(0, len(pairs), 4096):
                 chunk = pairs[lo:lo + 4096]
                 tried += len(chunk)
-                cand = _oracle_chunk(qp, b, g, chunk, e, p, tol, tried)
-                if cand is not None:
+                for cand in _oracle_chunk(qp, b, g, chunk, e, p, tol, tried):
                     if cand.kkt_residual <= 1e-9:
                         return cand
                     if best is None or cand.objective < best.objective:
@@ -528,72 +539,53 @@ def enumerate_oracle(qp: SoftQP, z: np.ndarray) -> SolveResult:
 
 
 def _oracle_chunk(qp, b, g, pairs, e, p, tol, tried):
-    """Solve and KKT-check one batch of (boundary, pinned) hypotheses."""
+    """Solve one batch of (boundary, pinned) hypotheses and yield the
+    KKT-consistent ones in order, skipping singular systems."""
     n_v, n_c = qp.n_v, qp.n_c
     H, W, rho = qp.H, qp.W, qp.rho
     m = len(pairs)
     E_arr = np.array([E for E, _ in pairs], dtype=int).reshape(m, e)
     P_arr = np.array([P for _, P in pairs], dtype=int).reshape(m, p)
 
-    rhs_v = np.broadcast_to(-g, (m, n_v)).copy()
-    if p:
-        rhs_v -= np.einsum("mp,mpv->mv", rho[P_arr], W[P_arr])
-    if e:
-        WE = W[E_arr]                       # (m, e, n_v)
-        K = np.zeros((m, n_v + e, n_v + e))
-        K[:, :n_v, :n_v] = H
-        K[:, :n_v, n_v:] = WE.transpose(0, 2, 1)
-        K[:, n_v:, :n_v] = WE
-        rhs = np.concatenate([rhs_v, b[E_arr]], axis=1)
-        try:
-            sol = np.linalg.solve(K, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            sol = np.array([_lstsq_or_nan(K[i], rhs[i]) for i in range(m)])
-        ok = np.abs(np.einsum("mij,mj->mi", K, sol) - rhs).max(axis=1) <= tol
-        v = sol[:, :n_v]
-        lam_E = sol[:, n_v:]
-        ok &= lam_E.min(axis=1, initial=0.0) >= -tol
-        ok &= (lam_E - rho[E_arr]).max(axis=1, initial=0.0) <= tol
-    else:
-        v = sla.cho_solve((qp.G, False), rhs_v.T).T
-        lam_E = np.zeros((m, 0))
-        ok = np.ones(m, dtype=bool)
+    WE = W[E_arr]                           # (m, e, n_v)
+    K = np.zeros((m, n_v + e, n_v + e))
+    K[:, :n_v, :n_v] = H
+    K[:, :n_v, n_v:] = WE.transpose(0, 2, 1)
+    K[:, n_v:, :n_v] = WE
+    rhs = np.concatenate(
+        [-g - np.einsum("mp,mpv->mv", rho[P_arr], W[P_arr]), b[E_arr]], axis=1)
+    ok = np.ones(m, dtype=bool)
+    try:
+        sol = np.linalg.solve(K, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # some boundary rows are dependent (see `enumerate_oracle`); the
+        # sign of slogdet, unlike det, cannot underflow to 0
+        ok = np.linalg.slogdet(K)[0] != 0
+        sol = np.zeros((m, n_v + e))
+        sol[ok] = np.linalg.solve(K[ok], rhs[ok, :, None])[..., 0]
+    ok &= np.abs(np.einsum("mij,mj->mi", K, sol) - rhs).max(axis=1) <= tol
+    v = sol[:, :n_v]
+    lam_E = sol[:, n_v:]
+    ok &= lam_E.min(axis=1, initial=0.0) >= -tol
+    ok &= (lam_E - rho[E_arr]).max(axis=1, initial=0.0) <= tol
 
     res = v @ W.T - b                       # (m, n_c)
     inactive = np.ones((m, n_c), dtype=bool)
-    if e:
-        np.put_along_axis(inactive, E_arr, False, axis=1)
-    if p:
-        np.put_along_axis(inactive, P_arr, False, axis=1)
-        ok &= np.take_along_axis(res, P_arr, axis=1).min(axis=1) >= -tol
+    np.put_along_axis(inactive, E_arr, False, axis=1)
+    np.put_along_axis(inactive, P_arr, False, axis=1)
+    ok &= np.take_along_axis(res, P_arr, axis=1).min(
+        axis=1, initial=np.inf) >= -tol
     ok &= np.where(inactive, res, -np.inf).max(axis=1, initial=-np.inf) <= tol
 
-    hits = np.flatnonzero(ok)
-    if not len(hits):
-        return None
-    best = None
-    for i in hits:
+    for i in np.flatnonzero(ok):
         eps = np.maximum(res[i], 0.0)
         eps[inactive[i]] = 0.0
         lam = np.zeros(n_c)
         lam[P_arr[i]] = rho[P_arr[i]]
         lam[E_arr[i]] = lam_E[i]
-        mu = rho - lam
-        kkt = _kkt_residual(qp, b, g, v[i], eps, lam, mu)
-        cand = SolveResult(v[i].copy(), eps, float(
+        kkt = _kkt_residual(qp, b, g, v[i], eps, lam, rho - lam)
+        yield SolveResult(v[i].copy(), eps, float(
             0.5 * v[i] @ H @ v[i] + v[i] @ g + rho @ eps), OPTIMAL, tried, kkt)
-        if kkt <= 1e-9:
-            return cand
-        if best is None or cand.objective < best.objective:
-            best = cand
-    return best
-
-
-def _lstsq_or_nan(K, rhs):
-    try:
-        return np.linalg.lstsq(K, rhs, rcond=None)[0]
-    except np.linalg.LinAlgError:
-        return np.full(len(rhs), np.nan)
 
 
 def random_soft_qp(rng):

@@ -258,7 +258,7 @@ class TestMain:
         name = {("--n-v", "0"): "n_v", ("--n-v", "-2"): "n_v",
                 ("--n-c", "-5"): "n_c"}.get(tuple(args[:2]))
         if name:
-            assert f"{name} must be >= " in capsys.readouterr().err
+            assert f"{name} must be an integer >= " in capsys.readouterr().err
 
     def test_run_requires_matrices(self, tmp_path):
         cfg = _write_yaml(tmp_path / "c.yaml", {"scenario": {"steps": 3}})

@@ -504,9 +504,10 @@ class TestModelValidation:
         ({"R": np.ones((1, 2))}, "^R must be square"),
         ({"N": 0}, "^horizon N must be an integer >= 1"),
         ({"N": 2.5}, "^horizon N must be an integer >= 1"),
-        ({"N": np.array([2, 3])}, "^horizon N must be an integer >= 1")],
+        ({"N": np.array([2, 3])}, "^horizon N must be an integer >= 1"),
+        ({"N": True}, "^horizon N must be an integer >= 1")],
         ids=["negative-Q", "asymmetric-Q", "negative-R", "nonsquare-R",
-             "N=0", "N=2.5", "N-array"])
+             "N=0", "N=2.5", "N-array", "N=True"])
     def test_tracking_problem_rejects_bad_q_r_or_n(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             TrackingProblem(**{"Q": np.eye(2), "R": np.eye(1), "N": 2,

@@ -28,12 +28,15 @@ class TestScenarioValidation:
             _small_scenario(mode="turbo")
 
     def test_rejects_bad_steps(self):
-        with pytest.raises(ValueError):
-            _small_scenario(steps=0)
+        for steps in (0, 2.5, True):
+            with pytest.raises(ValueError, match="^steps must be an integer"):
+                _small_scenario(steps=steps)
 
     def test_rejects_bad_repeats(self):
-        with pytest.raises(ValueError):
-            _small_scenario(timing_repeats=0)
+        for repeats in (0, 2.5, True):
+            with pytest.raises(ValueError,
+                               match="^timing_repeats must be an integer"):
+                _small_scenario(timing_repeats=repeats)
 
     def test_default_initial_state_is_zero(self):
         scen = _small_scenario()
@@ -209,7 +212,10 @@ class TestScreeningSweep:
 
     @pytest.mark.parametrize("kwargs, name", [
         (dict(n_v=0), "n_v"), (dict(n_v=-2), "n_v"),
-        (dict(n_c_values=(-5, 20, 40)), "n_c")])
+        (dict(n_c_values=(-5, 20, 40)), "n_c"), (dict(n_v=2.5), "n_v"),
+        (dict(n_v=True), "n_v"), (dict(n_c_values=(0, 20.5, 40)), "n_c"),
+        (dict(repeats=2.5), "repeats")])
     def test_rejects_bad_sizes(self, kwargs, name):
-        with pytest.raises(ValueError, match=f"^{name} must be >= "):
-            screening_time_sweep(repeats=2, **kwargs)
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be an integer >= "):
+            screening_time_sweep(**{"repeats": 2, **kwargs})

@@ -105,7 +105,8 @@ class TestSoftQPValidation:
 class TestSolverOptionsValidation:
     @pytest.mark.parametrize("kwargs", [
         {"tol": 0.0}, {"tol": -1.0}, {"tol": np.nan},
-        {"max_iterations": 0}])
+        {"max_iterations": 0}, {"max_iterations": 2.5},
+        {"max_iterations": True}])
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             SolverOptions(**kwargs)
@@ -417,6 +418,40 @@ class TestEnumerateOracle:
             assert np.abs(res.v_star - hard).max() <= 1e-6 * (
                 1 + np.abs(hard).max())
             checked += 1
+
+    def test_dependent_or_zero_rows_match_solver(self):
+        # dependent boundary rows make a hypothesis's KKT matrix singular,
+        # and the oracle skips it; the minimizer must still be found
+        rng = np.random.default_rng(23)
+        cases = [(SoftQP(H=np.eye(2), F=np.eye(2), W=[[1.0, 0.0], [1.0, 0.0]],
+                         c=[1.0, 1.0], L=np.zeros((2, 2)), rho=[1.5, 1.5]),
+                  np.array([-3.0, 0.0]))]   # multiplier 2 split over two rows
+        for kind in ("repeated", "twice", "all-zero", "zero-b"):
+            for _ in range(40):
+                qp, z = random_soft_qp(rng)
+                W, c, L = qp.W.copy(), qp.c.copy(), qp.L.copy()
+                if kind in ("repeated", "twice"):
+                    if qp.n_c < 2:
+                        continue
+                    i, j = rng.choice(qp.n_c, size=2, replace=False)
+                    s = 1.0 if kind == "repeated" else 2.0
+                    W[j], c[j], L[j] = s * W[i], s * c[i], s * L[i]
+                elif kind == "all-zero":
+                    W[:] = L[:] = 0.0
+                    c = rng.choice([-1.0, 1.0], size=qp.n_c) * np.abs(c)
+                else:
+                    zero = rng.random(qp.n_c) < 0.5
+                    W[zero] = L[zero] = 0.0
+                    c[zero] = 0.0
+                cases.append((SoftQP(H=qp.H, F=qp.F, W=W, c=c, L=L,
+                                     rho=qp.rho), z))
+        for qp, z in cases:
+            want = enumerate_oracle(qp, z)
+            got = solve_soft_qp(qp, z)
+            assert np.abs(got.v_star - want.v_star).max() <= 1e-9 * (
+                1.0 + np.abs(want.v_star).max())
+        split = enumerate_oracle(*cases[0])
+        assert np.allclose(split.v_star, [1.0, 0.0], rtol=0, atol=1e-12)
 
 
 def _hard_qp_minimizer(qp, z):
