@@ -263,17 +263,19 @@ class CondensedQP(SoftQP):
 
     def _free_response(self, z):
         """s_i = [x_i; u_prev; 0] at v = 0, rolling x_i = A x_{i-1} +
-        B u_prev N steps from x; one row per step."""
+        B u_prev N steps from x; one column per step, so the per-step
+        block applies to all steps in one product."""
         lay = self.layout
         u_prev = z[lay.n_x:lay.y_ref_offset]
-        s = np.zeros((lay.N, lay.n_x + 2 * lay.n_u))
-        s[:, lay.n_x:lay.y_ref_offset] = u_prev
+        s = np.zeros((lay.n_x + 2 * lay.n_u, lay.N))
+        s[lay.n_x:lay.y_ref_offset] = u_prev[:, None]
         A = self.model.A
         Bu = self.model.B @ u_prev
         x = z[:lay.n_x]
-        for x_next in s[:, :lay.n_x]:
-            np.add(A @ x, Bu, out=x_next)
-            x = x_next
+        for i in range(lay.N):
+            x = A @ x
+            x += Bu
+            s[:lay.n_x, i] = x
         return s
 
     def bound(self, z: np.ndarray) -> np.ndarray:
@@ -285,17 +287,17 @@ class CondensedQP(SoftQP):
         the per-step block, against n_c n_z for a dense product with L.
         """
         s = self._free_response(self._check_z(z))
-        # (M s')' holds one row per step, as c's rows run
-        return self.c - (self._M @ s.T).T.ravel()
+        # (M s)' holds one row per step, as c's rows run
+        return self.c - (self._M @ s).T.ravel()
 
     def cost_constant(self, z: np.ndarray) -> float:
         """z-only constant dropped from the condensed objective: the
         output error of the free response, sum_i |C x_i - y_ref_i|_Q^2."""
         z = self._check_z(z)
         lay = self.layout
-        x = self._free_response(z)[:, :lay.n_x]
-        err = x @ self.model.C.T - z[lay.y_ref_offset:].reshape(lay.N, lay.n_y)
-        return float(np.sum((err @ self.problem.Q) * err))
+        x = self._free_response(z)[:lay.n_x]
+        err = self.model.C @ x - z[lay.y_ref_offset:].reshape(lay.N, lay.n_y).T
+        return float(np.sum((self.problem.Q @ err) * err))
 
 
 def condense(model: StateSpaceModel, prob: TrackingProblem) -> CondensedQP:
@@ -365,10 +367,14 @@ def condense(model: StateSpaceModel, prob: TrackingProblem) -> CondensedQP:
     # state rows belong to step i, input and rate rows to step i-1
     step = np.repeat(np.arange(N), len(kind)) + np.tile(kind == KIND_STATE, N)
     row = np.concatenate([np.arange(b.rows) for b in blocks])
-    # concatenated, W is contiguous, so the per-step W products run on
-    # the fast BLAS path
+    # W is column-major: the screen's one product (2, n_v) @ W' then
+    # reads W' contiguously
+    blk = M.shape[0]
+    W = np.empty((N * blk, n_v), order="F")
+    for i, s_i in enumerate(S):
+        W[i * blk:(i + 1) * blk] = M @ s_i[:, n_u:]
     return CondensedQP(
-        H=H, F=F, W=np.concatenate([M @ s_i[:, n_u:] for s_i in S]),
+        H=H, F=F, W=W,
         c=np.tile(np.concatenate([b.g for b in blocks]), N), L=None,
         rho=np.tile(np.concatenate([b.rho for b in blocks]), N),
         model=model, problem=prob, layout=layout,

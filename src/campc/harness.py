@@ -8,10 +8,20 @@ Runs the receding-horizon loop in one of three modes:
 
 The full problem is solved by the interior point method
 (`solve_soft_qp`), the paper's baseline and the reference of the
-speedup ratio.  The reduced problem is solved by the cold-start active
-set (`solve_active_set`), which falls back to the interior point method
+speedup ratio.  The reduced problem is solved by the active set
+(`solve_active_set`), which falls back to the interior point method
 when its exit is not a KKT point; with no kept row either is the closed
 form.  The reduced-solve timer covers `reduce_qp` and that solve.
+
+The active set is warm-started by the receding horizon principle, as
+the screen's candidate is: the loop keeps the row classes (at the
+boundary, violated) of the last step's minimizer over all rows, a
+removed row inactive, and shifts them one prediction step outside the
+timers, so a row starts in the class the same constraint ended in one
+step earlier, and the last prediction step's rows start inactive.  The
+reduced solve gathers the kept rows' classes as its `start` inside its
+timer, so every timing repeat starts from the same classes.  After a
+fallback to the interior point method the next step starts cold.
 
 The plant is propagated with the controller model (no mismatch).
 
@@ -128,6 +138,7 @@ def run_closed_loop(scenario: Scenario) -> RunResult:
     A, B = scenario.model.A, scenario.model.B
     C = scenario.model.C
     n_c = cqp.n_c
+    rows_per_step = n_c // cqp.layout.N
     clock = time.perf_counter
 
     x = scenario.x0.copy()
@@ -136,6 +147,7 @@ def run_closed_loop(scenario: Scenario) -> RunResult:
     inputs = []
     traces = []
     prev = None
+    classes = np.zeros((2, n_c), dtype=bool)   # [boundary; violated]
     full_mode = scenario.mode == "full"
     do_full = scenario.mode in ("full", "verify")
     do_reduced = scenario.mode in ("reduced", "verify")
@@ -166,19 +178,25 @@ def run_closed_loop(scenario: Scenario) -> RunResult:
             v_tilde = (v_uc if prev is None
                        else condenser.shift_warm_start(prev, cqp))
 
+            start_all = _shift_classes(classes, rows_per_step)
+
             def solve_step(kept):
                 red = screener.reduce_qp(cqp, kept)
-                return solve_active_set(red, z, scenario.options,
-                                        rhs=rhs[kept.indices])
+                start = start_all[:, kept.indices]
+                return start, solve_active_set(
+                    red, z, scenario.options, rhs=rhs[kept.indices],
+                    start=start)
 
             # screen and solve are timed back to back within each repeat
             # so a load spike hits both measurements, not just one; an
             # overflowing Fz keeps every row and fails the solve, unwarned
             with np.errstate(over="ignore", invalid="ignore"):
-                kept, res_red, trace.t_screen_s, trace.t_solve_s = (
+                kept, (start, res_red), trace.t_screen_s, trace.t_solve_s = (
                     _timed_pair(lambda: cache.step(v_tilde, v_uc, rhs),
                                 solve_step, repeats, clock))
             _require_optimal(res_red, k, traces)
+            classes[:] = False
+            classes[:, kept.indices] = start
             result = screener.expand_solution(res_red, kept, cqp, z, rhs=rhs)
             trace.n_kept = len(kept)
             if res_full is not None:
@@ -202,6 +220,15 @@ def run_closed_loop(scenario: Scenario) -> RunResult:
 
     return RunResult(traces=traces, states=np.array(states),
                      inputs=np.array(inputs), qp=cqp)
+
+
+def _shift_classes(classes, rows_per_step):
+    """Row classes one prediction step on: row j takes the class of row
+    j + rows_per_step, the same constraint one step later in the
+    horizon, and the last step's rows start inactive."""
+    out = np.zeros_like(classes)
+    out[:, :classes.shape[1] - rows_per_step] = classes[:, rows_per_step:]
+    return out
 
 
 def _timed(fn, repeats, clock):

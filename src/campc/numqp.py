@@ -21,11 +21,13 @@ system of those classes exactly and returns that point's KKT residual:
                     refined by the loop started from the classes the
                     iterate suggests (the polish).  Its cost grows with
                     the number of rows; it is the full-problem solver.
-  solve_active_set  the loop alone, from every row inactive, with
-                    solve_soft_qp as the fallback whenever its exit's
-                    residual exceeds `tol`.  Its cost grows with the
-                    number of rows that end up active; the closed loop
-                    uses it for the screened (reduced) problem.
+  solve_active_set  the loop alone, from the row classes the caller
+                    passes as `start` (every row inactive by default),
+                    with solve_soft_qp as the fallback whenever its
+                    exit's residual exceeds `tol`.  Its cost grows with
+                    the number of rows whose class the loop must change;
+                    the closed loop uses it for the screened (reduced)
+                    problem, started from the previous step's classes.
 """
 from __future__ import annotations
 
@@ -148,10 +150,7 @@ class SoftQP:
                 f"rho has {len(rho)} entries, expected {len(c)}")
         if len(rho) and rho.min() <= 0.0:
             raise ValueError("all slack penalties rho must be positive")
-        if self.G is None:
-            # a supplied G comes from a checked problem (`reduce_qp`), so
-            # the per-step reduced QP skips this pass over its data
-            _require_finite(**data)
+        _require_finite(**data)
         data["G"] = np.asarray(
             self.G if self.G is not None else cholesky_factor(H))
         for name, val in data.items():
@@ -350,33 +349,47 @@ def solve_soft_qp(qp: SoftQP, z: np.ndarray,
 
 def solve_active_set(qp: SoftQP, z: np.ndarray,
                      opts: SolverOptions | None = None,
-                     rhs: np.ndarray | None = None) -> SolveResult:
-    """Cold-start active-set method, with `solve_soft_qp` as fallback.
+                     rhs: np.ndarray | None = None,
+                     start: np.ndarray | None = None) -> SolveResult:
+    """Active-set method from given row classes, with `solve_soft_qp`
+    as fallback.
 
-    Every row starts inactive, and `_active_set` moves one row per pass
-    until the equality system of the row classes is a KKT point.  The
-    result is `Optimal` only if its KKT residual is at most `opts.tol`,
-    and `iterations` counts the passes.  Otherwise (the loop cycled,
-    reached its pass cap or met a failed solve) the interior point
-    method solves the problem and its result is returned.  Cheapest on
-    small problems with few active rows, such as a screened problem.
+    `start` is a (2, n_c) bool array [boundary; violated] of the classes
+    the loop starts from; None starts every row inactive (a cold start).
+    `_active_set` moves one row per pass until the equality system of
+    the classes is a KKT point, and leaves `start` holding the classes
+    of the returned point.  The result is `Optimal` only if its KKT
+    residual is at most `opts.tol`, and `iterations` counts the passes.
+    Otherwise (the loop cycled, reached its pass cap or met a failed
+    solve) `start` is cleared, and the interior point method solves the
+    problem and its result is returned.  Cheapest on small problems
+    with few active rows, such as a screened problem, and from the
+    classes of a nearby problem, such as the previous closed-loop step.
     `rhs` may carry a precomputed c + Lz; with no rows, or when Fz or
     c + Lz holds NaN or inf, the result is that of `solve_soft_qp`.
     """
     if opts is None:
         opts = SolverOptions()
+    if start is None:
+        start = np.zeros((2, qp.n_c), dtype=bool)
+    elif start.shape != (2, qp.n_c) or start.dtype != bool:
+        raise DimensionError(
+            f"start must be a (2, {qp.n_c}) bool array, got "
+            f"{start.shape} {start.dtype}")
+    elif (start[0] & start[1]).any():
+        raise ValueError("start puts a row both at its boundary and violated")
     if qp.n_c == 0:
         return solve_soft_qp(qp, z, opts, rhs=rhs)
     z = qp._check_z(z)
     with np.errstate(over="ignore", invalid="ignore"):
         b = qp.bound(z) if rhs is None else _checked_rhs(qp, rhs)
         g = qp.F @ z
-    out = _active_set(qp, b, g, np.zeros(qp.n_c, dtype=bool),
-                      np.zeros(qp.n_c, dtype=bool))
+    out = _active_set(qp, b, g, start[0], start[1])
     if out is not None and out[2] <= opts.tol:
         v, eps, kkt, passes = out
         return SolveResult(v, eps, qp.objective(v, eps, z), OPTIMAL,
                            passes, kkt)
+    start[:] = False
     return solve_soft_qp(qp, z, opts, rhs=b)
 
 
@@ -402,8 +415,8 @@ def _active_set(qp, b, g, eq, pinned):
     cycle: each pass is a function of the classes alone, so it stops
     when it has solved the same classes twice, and in any case after
     3*n_c + 1 passes, which bounds its cost.  `eq` and `pinned` are
-    updated in place; on a stop other than the cap they hold the
-    classes of the returned point.
+    updated in place; at every stop they hold the classes of the
+    returned point.
 
     Returns (v, eps, kkt, passes) of the last solve, with kkt its
     `_kkt_residual`, or None if a solve failed or b or g holds NaN or
@@ -415,7 +428,8 @@ def _active_set(qp, b, g, eq, pinned):
     n_v, n_c = qp.n_v, qp.n_c
     tiny = 1e-11 * (1.0 + np.abs(b).max(initial=0.0))
     seen = set()
-    for passes in range(1, 3 * n_c + 2):
+    cap = 3 * n_c + 1
+    for passes in range(1, cap + 1):
         E, = eq.nonzero()
         P, = pinned.nonzero()
         # range-space solve through the cached factor G (H = G'G), which
@@ -448,7 +462,7 @@ def _active_set(qp, b, g, eq, pinned):
         if score[j] <= tiny:
             break
         state = (E.tobytes(), P.tobytes())
-        if state in seen:
+        if state in seen or passes == cap:
             break
         seen.add(state)
         if eq[j]:

@@ -88,18 +88,21 @@ class Screener:
         Completes the slacks eps~ = max(0, Wv~ - rhs), which enter only
         sigma = rho'eps~ + |G(v~ - v_uc)|^2 / 4, and applies the keep
         rule of `screen`.  The ellipsoid center q = (v~ + v_uc)/2
-        enters only through W q, so it is formed in constraint-row
-        space.
+        enters only through W q, so W v~ and W q come from one
+        (2, n_v) @ W' product, a single pass over W; a column-major W
+        (`condense` builds one) makes W' the contiguous operand.
         """
         qp = self.qp
-        Wvt = qp.W @ v_tilde
-        eps_tilde = Wvt - rhs
+        vq = np.empty((2, qp.n_v))
+        vq[0] = v_tilde
+        np.add(v_tilde, v_uc, out=vq[1])
+        vq[1] *= 0.5
+        eps_tilde, Wq = vq @ qp.W.T
+        eps_tilde -= rhs
         np.maximum(eps_tilde, 0.0, out=eps_tilde)
         Gd = qp.G @ (v_tilde - v_uc)
         sigma = float(qp.rho @ eps_tilde + 0.25 * (Gd @ Gd))
-        Wvt += qp.W @ v_uc
-        Wvt *= 0.5
-        return self._keep(sigma, rhs, Wvt)
+        return self._keep(sigma, rhs, Wq)
 
     def _keep(self, sigma: float, b, margin) -> KeptSet:
         """Keep rule; overwrites `margin` (W q on entry) in place.  A row
@@ -127,7 +130,9 @@ def precompute_row_norms(qp: SoftQP) -> Screener:
     """The Screener of `qp`, with zeta_j = |W_j G^-1|_2 via one
     triangular solve per row and v_uc_map = -H^-1 F via the cached
     Cholesky factor."""
-    Y = sla.solve_triangular(qp.G, qp.W.T, trans="T", lower=False)
+    # W and G were checked finite when the problem was built
+    Y = sla.solve_triangular(qp.G, qp.W.T, trans="T", lower=False,
+                             check_finite=False)
     v_uc_map = sla.cho_solve((qp.G, False), -qp.F)
     v_uc_map.setflags(write=False)
     return Screener(zeta=np.linalg.norm(Y, axis=0), qp=qp, v_uc_map=v_uc_map)
@@ -175,13 +180,25 @@ def screen(cache: Screener, bound: EllipsoidBound, z: np.ndarray) -> KeptSet:
 
 def reduce_qp(qp: SoftQP, kept: KeptSet) -> SoftQP:
     """SoftQP with only the kept rows; H, G, F are shared unchanged.
-    Without L (a `CondensedQP`), its solvers need `rhs`."""
+    Without L (a `CondensedQP`), its solvers need `rhs`.
+
+    The rows are taken from `qp`'s checked arrays, so the reduced
+    problem skips `SoftQP`'s checks and factorization, as `Screener`
+    builds its `KeptSet`; its row arrays are read-only copies.
+    """
     if kept.n_c != qp.n_c:
         raise DimensionError("kept set built for a different problem")
     idx = kept.indices
-    return SoftQP(H=qp.H, F=qp.F, W=qp.W[idx], c=qp.c[idx],
-                  L=None if qp.L is None else qp.L[idx], rho=qp.rho[idx],
-                  G=qp.G)
+    red = object.__new__(SoftQP)
+    for name in ("H", "F", "G"):
+        object.__setattr__(red, name, getattr(qp, name))
+    for name in ("W", "c", "L", "rho"):
+        val = getattr(qp, name)
+        if val is not None:
+            val = val[idx]
+            val.setflags(write=False)
+        object.__setattr__(red, name, val)
+    return red
 
 
 def expand_solution(red: SolveResult, kept: KeptSet, qp, z: np.ndarray,
@@ -197,7 +214,9 @@ def expand_solution(red: SolveResult, kept: KeptSet, qp, z: np.ndarray,
     if len(red.eps_star) != len(kept):
         raise DimensionError("reduced slacks do not match the kept rows")
     v = np.asarray(red.v_star, dtype=float).ravel()
-    eps = np.maximum(0.0, qp.W @ v - _checked_rhs(qp, rhs))
+    eps = qp.W @ v
+    eps -= _checked_rhs(qp, rhs)
+    np.maximum(eps, 0.0, out=eps)
     eps[kept.indices] = 0.0    # the max below runs over removed rows
     if eps.max(initial=0.0) > REMOVED_SLACK_TOL:
         j = int(np.argmax(eps))

@@ -22,6 +22,7 @@ from scipy import sparse
 
 from campc.condenser import (ConstraintBlock, KroneckerOperator,
                              StateSpaceModel, TrackingProblem)
+from campc.numqp import _require_count
 
 
 @dataclass(frozen=True)
@@ -63,23 +64,20 @@ class ThermalConfig:
     ref_ramp_steps: int = 30
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("grid side must be at least 3")
+        _require_count("n", self.n, 3)
+        for name in ("output_block", "horizon", "ref_ramp_steps"):
+            _require_count(name, getattr(self, name), 1)
         for name in ("alpha", "beta", "dt", "ref_target"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.dt <= 0.0:
             raise ValueError("sample time must be positive")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.ref_ramp_steps < 1:
-            raise ValueError("ref_ramp_steps must be >= 1")
         if min(self.q_scale, self.r_scale) < 0.0:
             raise ValueError("q_scale and r_scale must be nonnegative")
         if self.q_scale == self.r_scale == 0.0:
             raise ValueError("q_scale and r_scale cannot both be zero")
         side = self.output_block
-        if not 1 <= side <= self.n:
+        if side > self.n:
             raise ValueError("output block does not fit the grid")
         start = (self.n - side + 1) // 2
         object.__setattr__(self, "output_nodes", tuple(

@@ -199,6 +199,12 @@ class TestCondenseAgainstRollout:
             want, _ = _rollout(model, prob, z, np.zeros(cqp.n_v))
             assert abs(cqp.cost_constant(z) - want) <= 1e-9 * (1 + abs(want))
 
+    def test_w_is_column_major(self, thermal_setup):
+        # the screen's (2, n_v) @ W' product reads W' contiguously
+        cqp = condense(*thermal_setup[:2])
+        assert cqp.W.flags.f_contiguous
+        assert not cqp.W.flags.writeable
+
     def test_holds_no_z_sized_arrays_on_thermal(self, thermal_setup):
         # no dense n_c x n_z L and no n_z x n_z cost quadratic: the
         # n = 20 problem (n_c = 2030, n_z = 528) holds well under 1 MB

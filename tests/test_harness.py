@@ -12,6 +12,7 @@ from campc.harness import (
     verify_equivalence,
     write_trace_csv,
 )
+from test_condenser import _random_setup
 
 
 def _small_scenario(mode="verify", steps=8, **kw):
@@ -117,6 +118,98 @@ class TestClosedLoop:
             assert trace.dev_inf is not None
             assert trace.t_solve_full_s is not None
             assert trace.dev_inf <= 1e-6 * (1 + trace.v_full_norm)
+
+
+def _shift_sources(cqp):
+    """For each row j, the row whose class `_shift_classes` hands it, or
+    -1 for a row that starts inactive."""
+    marks = np.arange(1, cqp.n_c + 1)[None]    # 0 marks "no source"
+    return harness._shift_classes(marks, cqp.n_c // cqp.layout.N)[0] - 1
+
+
+class TestShiftClasses:
+    def _check(self, cqp):
+        src = _shift_sources(cqp)
+        rows_per_step = cqp.n_c // cqp.layout.N
+        prov = cqp.provenance
+        j = np.arange(cqp.n_c - rows_per_step)
+        # row j takes the class of the same constraint one step later
+        assert np.array_equal(src[j], j + rows_per_step)
+        assert np.array_equal(prov.kind[src[j]], prov.kind[j])
+        assert np.array_equal(prov.row[src[j]], prov.row[j])
+        assert np.array_equal(prov.step[src[j]], prov.step[j] + 1)
+        # the last prediction step's rows start inactive
+        assert np.all(src[len(j):] == -1)
+
+    def test_thermal(self, thermal_setup):
+        model, prob, _ = thermal_setup
+        self._check(condenser.condense(model, prob))
+
+    def test_random_with_rate_rows(self):
+        rng = np.random.default_rng(41)
+        checked = 0
+        while checked < 20:
+            model, prob = _random_setup(rng)
+            if prob.N < 2 or prob.rate_constraints is None:
+                continue
+            self._check(condenser.condense(model, prob))
+            checked += 1
+
+    def test_bool_classes(self):
+        classes = np.array([[True, False, False, True, False, True],
+                            [False, True, True, False, False, False]])
+        shifted = harness._shift_classes(classes, 2)
+        assert shifted.dtype == bool
+        assert np.array_equal(shifted, [[False, True, False, True, False, False],
+                                        [True, False, False, False, False, False]])
+        assert np.array_equal(harness._shift_classes(classes[:, :0], 0),
+                              np.zeros((2, 0), dtype=bool))
+
+
+def _tight_scenario(**kw):
+    # a bound below the target, so kept rows carry positive slacks
+    bound = thermal2d.GaussianSpec(width=0.45, peak=9.5)
+    cfg = thermal2d.ThermalConfig(n=6, output_block=2, horizon=3,
+                                  ref_target=10.5, ref_ramp_steps=10,
+                                  bound=bound)
+    model, prob, cfg = thermal2d.build_thermal_benchmark(cfg)
+    return Scenario(model=model, problem=prob,
+                    references=lambda k: thermal2d.reference_window(cfg, k),
+                    **kw)
+
+
+class TestWarmStart:
+    def _run(self, monkeypatch, cold):
+        passes, starts = [], []
+        solve = harness.solve_active_set
+
+        def recording_solve(qp, z, opts=None, rhs=None, start=None):
+            starts.append(start.copy())
+            res = solve(qp, z, opts, rhs=rhs, start=start)
+            passes.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(harness, "solve_active_set", recording_solve)
+        if cold:
+            monkeypatch.setattr(harness, "_shift_classes",
+                                lambda classes, _: np.zeros_like(classes))
+        res = run_closed_loop(_tight_scenario(mode="reduced", steps=20,
+                                              timing_repeats=2))
+        monkeypatch.undo()
+        return res, passes, starts
+
+    def test_same_answers_in_fewer_passes(self, monkeypatch):
+        warm, warm_passes, starts = self._run(monkeypatch, cold=False)
+        cold, cold_passes, _ = self._run(monkeypatch, cold=True)
+        assert [t.n_kept for t in warm.traces] == [
+            t.n_kept for t in cold.traces]
+        assert np.abs(warm.inputs - cold.inputs).max() <= 1e-9
+        assert max(t.eps_penalty for t in warm.traces) > 0.0
+        assert sum(warm_passes) < sum(cold_passes)
+        # both timing repeats of a step start from the same classes
+        for a, b in zip(starts[::2], starts[1::2]):
+            assert np.array_equal(a, b)
+        assert any(s.any() for s in starts)
 
 
 class TestNonFiniteInputs:

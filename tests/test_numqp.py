@@ -371,6 +371,83 @@ class TestSolveActiveSet:
                 solve_active_set(qp, [-1.0], rhs=rhs)
 
 
+def _random_start(rng, n_c):
+    """A random [boundary; violated] class array over n_c rows."""
+    cls = rng.integers(0, 3, size=n_c)
+    return np.stack([cls == 1, cls == 2])
+
+
+class TestWarmStart:
+    def test_random_starts(self):
+        rng = np.random.default_rng(19)
+        fell_back = 0
+        for _ in range(500):
+            qp, z = random_soft_qp(rng)
+            start = _random_start(rng, qp.n_c)
+            b = qp.bound(z)
+            loop = numqp._active_set(qp, b, qp.F @ z, *start.copy())
+            got = solve_active_set(qp, z, start=start)
+            want = enumerate_oracle(qp, z)
+            assert got.status == OPTIMAL
+            assert np.abs(got.v_star - want.v_star).max() <= 1e-6 * (
+                1.0 + np.abs(want.v_star).max())
+            if loop is None or loop[2] > 1e-8:
+                # the fallback's answer, and a cleared start
+                fell_back += 1
+                assert not start.any()
+                _same_result(got, solve_soft_qp(qp, z))
+                continue
+            assert got.iterations == loop[3]
+            # start holds the classes of the returned point ...
+            res = qp.W @ got.v_star - b
+            tiny = 1e-9 * (1.0 + np.abs(b).max())
+            assert np.abs(res[start[0]]).max(initial=0.0) <= tiny
+            assert np.all(got.eps_star[~start[1]] == 0.0)
+            assert np.all(res[~start[0] & ~start[1]] <= tiny)
+            # ... so a solve started from them stops after one pass
+            again = start.copy()
+            rerun = solve_active_set(qp, z, start=again)
+            assert rerun.iterations == 1
+            assert np.array_equal(again, start)
+            assert np.array_equal(rerun.v_star, got.v_star)
+        # both branches ran: the loop's own exit and the fallback
+        assert 0 < fell_back < 50
+
+    def test_all_inactive_start_is_the_cold_start(self):
+        rng = np.random.default_rng(20)
+        for _ in range(500):
+            qp, z = random_soft_qp(rng)
+            start = np.zeros((2, qp.n_c), dtype=bool)
+            _same_result(solve_active_set(qp, z, start=start),
+                         solve_active_set(qp, z))
+
+    def test_fallback_clears_start(self):
+        # a tolerance no point meets forces the interior point method
+        rng = np.random.default_rng(21)
+        opts = SolverOptions(tol=1e-300, max_iterations=30)
+        checked = 0
+        for _ in range(40):
+            qp, z = random_soft_qp(rng)
+            start = _random_start(rng, qp.n_c)
+            if numqp._active_set(qp, qp.bound(z), qp.F @ z,
+                                 *start.copy())[2] == 0.0:
+                continue    # an exact KKT point passes any tolerance
+            _same_result(solve_active_set(qp, z, opts, start=start),
+                         solve_soft_qp(qp, z, opts))
+            assert not start.any()
+            checked += 1
+        assert checked >= 20
+
+    @pytest.mark.parametrize("start, error", [
+        (np.zeros((2, 2), dtype=bool), DimensionError),
+        (np.zeros((1, 1), dtype=bool), DimensionError),
+        (np.zeros((2, 1)), DimensionError),
+        (np.ones((2, 1), dtype=bool), ValueError)])
+    def test_rejects_bad_start(self, start, error):
+        with pytest.raises(error, match="start"):
+            solve_active_set(scalar_qp(), [-1.0], start=start)
+
+
 class TestEnumerateOracle:
     def test_matches_pinned_examples(self):
         for c, rho, v, e in [(0.5, 10.0, 0.5, 0.0),

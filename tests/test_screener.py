@@ -388,6 +388,28 @@ class TestReduceAndExpand:
         assert np.array_equal(out.v_star, res.v_star)
         assert np.allclose(out.eps_star, res.eps_star, atol=1e-9)
 
+    def test_reduced_arrays_match_a_checked_problem(self):
+        # reduce_qp skips SoftQP's checks; its arrays must still be the
+        # read-only ones a checked SoftQP of the kept rows holds
+        rng = np.random.default_rng(43)
+        problems = [random_soft_qp(rng)[0] for _ in range(30)]
+        problems += [condense(*_random_setup(rng)) for _ in range(30)]
+        for qp in problems:
+            idx = np.flatnonzero(rng.random(qp.n_c) < 0.5)
+            red = reduce_qp(qp, KeptSet(indices=idx, n_c=qp.n_c))
+            want = SoftQP(H=qp.H, F=qp.F, W=qp.W[idx], c=qp.c[idx],
+                          L=None if qp.L is None else qp.L[idx],
+                          rho=qp.rho[idx])
+            assert type(red) is SoftQP
+            assert red.n_c == len(idx)
+            for field in dataclasses.fields(SoftQP):
+                got = getattr(red, field.name)
+                if got is None:
+                    assert getattr(want, field.name) is None
+                    continue
+                assert np.array_equal(got, getattr(want, field.name))
+                assert not got.flags.writeable
+
     def test_empty_kept_set(self):
         qp = scalar_qp(c=5.0)
         z = [-1.0]

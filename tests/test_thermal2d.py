@@ -314,3 +314,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ThermalConfig(n=4, output_block=5)
 
+
+    # a float count used to end in a TypeError (n, output_block) or be
+    # accepted (ref_ramp_steps, and a bool horizon)
+    @pytest.mark.parametrize("name, value", [
+        ("n", 6.5), ("output_block", 2.5), ("ref_ramp_steps", 2.5),
+        ("horizon", True)])
+    def test_rejects_non_integer_counts(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            ThermalConfig(**{name: value})
+
+    def test_accepts_numpy_integer_counts(self):
+        cfg = ThermalConfig(n=np.int64(6), output_block=np.int32(2))
+        assert cfg.n_x == 36
+        assert len(cfg.output_nodes) == 4
