@@ -218,17 +218,39 @@ class SolveResult:
     kkt_residual: float
 
 
-def _kkt_residual(qp, b, g, v, eps, lam, mu):
-    """Scaled max of stationarity, feasibility and complementarity."""
-    scale = 1.0 + max(np.abs(g).max(initial=0.0),
-                      np.abs(b).max(initial=0.0),
-                      qp.rho.max(initial=0.0))
-    viol = qp.W @ v - b - eps
+def _residual_scale(g, b, rho):
+    """1 + the largest of |g|, |b| and rho: the divisor of
+    `_kkt_residual`, formed once per solve."""
+    return 1.0 + max(np.abs(g).max(initial=0.0), np.abs(b).max(initial=0.0),
+                     rho.max(initial=0.0))
+
+
+def _kkt_residual(r_v, res, rho, eps, lam, mu, scale):
+    """Scaled max of stationarity, feasibility and complementarity.
+
+    `r_v` = Hv + g + W'lam and `res` = Wv - b are the blocks the caller
+    already holds; `scale` is `_residual_scale`.  One numpy max runs over
+    all blocks, so a NaN in any of them gives NaN.
+    """
+    viol = res - eps
     return np.concatenate([
-        np.abs(qp.H @ v + g + qp.W.T @ lam), np.abs(qp.rho - lam - mu),
+        np.abs(r_v), np.abs(rho - lam - mu),
         # primal feasibility, and dual: multipliers must stay nonnegative
         viol, -eps, -lam, -mu,
         np.abs(lam * viol), np.abs(mu * eps)]).max(initial=0.0) / scale
+
+
+def _max_step(x, dx, ftb):
+    """Step length along dx from x > 0: the fraction `ftb` of the way to
+    the nearest boundary of x > 0, or 1 if that is farther.
+
+    A mask-free ratio test: the blocking component i minimizes dx_i/x_i,
+    and alpha = min(1, -ftb x_i / dx_i) if dx_i < 0, else 1.
+    """
+    i = (dx / x).argmin()
+    if not dx[i] < 0:   # no component of dx is negative (or dx holds NaN)
+        return 1.0
+    return min(1.0, float(-ftb * x[i] / dx[i]))
 
 
 def solve_soft_qp(qp: SoftQP, z: np.ndarray,
@@ -241,6 +263,10 @@ def solve_soft_qp(qp: SoftQP, z: np.ndarray,
     vector x = [s; eps] and one dual vector y = [lam; mu], with duality
     measure x'y / (2 n_c); (eps, mu, s) are eliminated from the Newton
     system, leaving an n_v x n_v condensed KKT matrix per iteration.
+    Each iteration forms W v and W'lam once, for its one residual
+    evaluation and the Newton right-hand sides, writes both Newton
+    directions into buffers allocated once per solve, and takes each
+    step length from the ratio test of `_max_step`.
     `rhs` may carry a precomputed c + Lz.  An optimal exit is refined by
     an active-set polish, which the exactness of screening relies on.
     If Fz, c + Lz or the start holds NaN or inf (an overflow), the
@@ -259,7 +285,10 @@ def solve_soft_qp(qp: SoftQP, z: np.ndarray,
         # strictly interior start: slack/dual pairs at >= 1
         g = qp.F @ z
         b = qp.bound(z) if rhs is None else _checked_rhs(qp, rhs)
-        v = sla.cho_solve((qp.G, False), -g, check_finite=False)
+        # LAPACK's solve through G called directly, as `_active_set` calls
+        # it: on an empty reduced problem scipy's cho_solve wrapper
+        # costs more than the solve
+        v, _ = dpotrs(qp.G, -g)
         viol = W @ v - b
         eps = np.maximum(viol, 0.0) + 1.0
         s = eps - viol          # >= 1 by construction
@@ -270,17 +299,22 @@ def solve_soft_qp(qp: SoftQP, z: np.ndarray,
             return SolveResult(v, eps, qp.objective(v, eps, z), OPTIMAL, 0, res)
         x = np.concatenate([s, eps])
         y = np.ones(2 * n_c)
+        # the Newton directions and the target of x * y, written in place
+        dx, dy, rc = np.empty(2 * n_c), np.empty(2 * n_c), np.empty(2 * n_c)
         # views, which the in-place steps of x and y move along
         s, eps, lam, mu = x[:n_c], x[n_c:], y[:n_c], y[n_c:]
+        ds, deps, dlam, dmu = dx[:n_c], dx[n_c:], dy[:n_c], dy[n_c:]
+        scale = _residual_scale(g, b, rho)
         for it in range(1, opts.max_iterations + 1):
-            kkt = _kkt_residual(qp, b, g, v, eps, lam, mu)
+            res = W @ v - b
+            r_v = H @ v + g + W.T @ lam
+            kkt = _kkt_residual(r_v, res, rho, eps, lam, mu, scale)
             if kkt <= opts.tol:
                 status = OPTIMAL
                 break
 
-            r_v = H @ v + g + W.T @ lam
             r_e = delta * eps + rho - lam - mu
-            r_p = W @ v - b - eps + s
+            r_p = res - eps + s
 
             # eliminate (eps, mu, s); all denominators stay positive
             m_e = mu + delta * eps
@@ -293,33 +327,35 @@ def solve_soft_qp(qp: SoftQP, z: np.ndarray,
                 status = NUMERICAL_FAILURE
                 break
 
-            def newton(rc):     # rc: the target of x * y
+            def newton():   # to the target rc of x * y; fills dx and dy
                 e0 = (rc[n_c:] - eps * r_e) / m_e
                 coef = (lam * (r_p - e0) + rc[:n_c]) / denom
                 dv, _ = dpotrs(Kfac, -r_v - W.T @ coef)
-                dlam = Dinv * (W @ dv) + coef
-                deps = a * dlam + e0
-                dx = np.concatenate([-r_p - W @ dv + deps, deps])
-                dy = np.concatenate([dlam, r_e + delta * deps - dlam])
-                return dv, dx, dy
-
-            def max_step(x, dx):
-                neg = dx < 0
-                if not neg.any():
-                    return 1.0
-                return min(1.0, float((-ftb * x[neg] / dx[neg]).min()))
+                Wdv = W @ dv
+                # dlam = Dinv W dv + coef, deps = a dlam + e0,
+                # ds = -r_p - W dv + deps, dmu = r_e + delta deps - dlam
+                np.add(np.multiply(Dinv, Wdv, out=dlam), coef, out=dlam)
+                np.add(np.multiply(a, dlam, out=deps), e0, out=deps)
+                np.subtract(deps, np.add(r_p, Wdv, out=ds), out=ds)
+                np.add(np.multiply(delta, deps, out=dmu), r_e, out=dmu)
+                np.subtract(dmu, dlam, out=dmu)
+                return dv
 
             # predictor: aim at complementarity zero
-            xy = y * x
-            dv, dx, dy = newton(-xy)
-            ap, ad = max_step(x, dx), max_step(y, dy)
+            np.negative(np.multiply(y, x, out=rc), out=rc)
+            dv = newton()
+            ap, ad = _max_step(x, dx, ftb), _max_step(y, dy, ftb)
             mu_now = y @ x / (2 * n_c)
             mu_aff = (y + ad * dy) @ (x + ap * dx) / (2 * n_c)
             sigma = (max(mu_aff, 0.0) / mu_now) ** 3 if mu_now > 0 else 0.0
 
-            # corrector with centering, from the predictor's step
-            dv, dx, dy = newton(sigma * mu_now - xy - dy * dx)
-            ap, ad = max_step(x, dx), max_step(y, dy)
+            # corrector with centering, from the predictor's step: the
+            # target sigma mu - x * y - dx * dy (dy is spent as scratch;
+            # the corrector's Newton step overwrites it)
+            rc += sigma * mu_now
+            rc -= np.multiply(dy, dx, out=dy)
+            dv = newton()
+            ap, ad = _max_step(x, dx, ftb), _max_step(y, dy, ftb)
 
             v += ap * dv
             x += ap * dx
@@ -330,7 +366,8 @@ def solve_soft_qp(qp: SoftQP, z: np.ndarray,
                 break
 
     if status != OPTIMAL:   # an optimal break holds this point's residual
-        kkt = _kkt_residual(qp, b, g, v, eps, lam, mu)
+        kkt = _kkt_residual(H @ v + g + W.T @ lam, W @ v - b, rho, eps, lam,
+                            mu, scale)
         if status == MAX_ITERATIONS and kkt <= opts.tol:
             status = OPTIMAL
     if status == OPTIMAL:
@@ -482,7 +519,9 @@ def _active_set(qp, b, g, eq, pinned):
     lam = np.zeros(n_c)
     lam[P] = rho[P]
     lam[E] = lam_E
-    return v, eps, _kkt_residual(qp, b, g, v, eps, lam, rho - lam), passes
+    kkt = _kkt_residual(qp.H @ v + g + W.T @ lam, res, rho, eps, lam,
+                        rho - lam, _residual_scale(g, b, rho))
+    return v, eps, kkt, passes
 
 
 ORACLE_MAX_N_V, ORACLE_MAX_N_C = 6, 14   # hypotheses grow as 3^n_c
@@ -518,11 +557,8 @@ def enumerate_oracle(qp: SoftQP, z: np.ndarray) -> SolveResult:
     z = qp._check_z(z)
     g = qp.F @ z
     n_v, n_c = qp.n_v, qp.n_c
-    rho = qp.rho
     b = qp.bound(z)
-    scale = 1.0 + max(np.abs(g).max(initial=0.0), np.abs(b).max(initial=0.0),
-                      np.abs(rho).max(initial=0.0))
-    tol = 1e-9 * scale
+    scale = _residual_scale(g, b, qp.rho)
 
     best = None
     tried = 0
@@ -542,7 +578,8 @@ def enumerate_oracle(qp: SoftQP, z: np.ndarray) -> SolveResult:
             for lo in range(0, len(pairs), 4096):
                 chunk = pairs[lo:lo + 4096]
                 tried += len(chunk)
-                for cand in _oracle_chunk(qp, b, g, chunk, e, p, tol, tried):
+                for cand in _oracle_chunk(qp, b, g, chunk, e, p, scale,
+                                          tried):
                     if cand.kkt_residual <= 1e-9:
                         return cand
                     if best is None or cand.objective < best.objective:
@@ -552,11 +589,13 @@ def enumerate_oracle(qp: SoftQP, z: np.ndarray) -> SolveResult:
     return best
 
 
-def _oracle_chunk(qp, b, g, pairs, e, p, tol, tried):
+def _oracle_chunk(qp, b, g, pairs, e, p, scale, tried):
     """Solve one batch of (boundary, pinned) hypotheses and yield the
-    KKT-consistent ones in order, skipping singular systems."""
+    KKT-consistent ones in order, skipping singular systems; a check
+    passes within 1e-9 of `scale`, the `_residual_scale` of the problem."""
     n_v, n_c = qp.n_v, qp.n_c
     H, W, rho = qp.H, qp.W, qp.rho
+    tol = 1e-9 * scale
     m = len(pairs)
     E_arr = np.array([E for E, _ in pairs], dtype=int).reshape(m, e)
     P_arr = np.array([P for _, P in pairs], dtype=int).reshape(m, p)
@@ -597,7 +636,8 @@ def _oracle_chunk(qp, b, g, pairs, e, p, tol, tried):
         lam = np.zeros(n_c)
         lam[P_arr[i]] = rho[P_arr[i]]
         lam[E_arr[i]] = lam_E[i]
-        kkt = _kkt_residual(qp, b, g, v[i], eps, lam, rho - lam)
+        kkt = _kkt_residual(H @ v[i] + g + W.T @ lam, W @ v[i] - b, rho, eps,
+                            lam, rho - lam, scale)
         yield SolveResult(v[i].copy(), eps, float(
             0.5 * v[i] @ H @ v[i] + v[i] @ g + rho @ eps), OPTIMAL, tried, kkt)
 

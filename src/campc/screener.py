@@ -8,10 +8,12 @@ problem then yields the minimizer of the full problem.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.blas import dtrsm
 
 from campc.numqp import DimensionError, SoftQP, SolveResult, _checked_rhs
 
@@ -108,13 +110,13 @@ class Screener:
         """Keep rule; overwrites `margin` (W q on entry) in place.  A row
         the candidate violates needs no clause: v~ lies in the ellipsoid."""
         if sigma < np.inf:
-            rad = np.sqrt(max(sigma, 0.0))
+            rad = math.sqrt(max(sigma, 0.0))
             # reach of the ellipsoid along W_j plus a small safety margin
             tau = 1e-9 * (1.0 + np.abs(b).max(initial=0.0))
             thresh = rad * self.zeta
             thresh += tau
             gap = np.subtract(b, margin, out=margin)
-            idx = np.flatnonzero(gap <= thresh)
+            idx, = (gap <= thresh).nonzero()
         else:
             # a NaN or infinite sigma bounds nothing: keep every row
             idx = np.arange(self.qp.n_c)
@@ -128,14 +130,14 @@ class Screener:
 
 def precompute_row_norms(qp: SoftQP) -> Screener:
     """The Screener of `qp`, with zeta_j = |W_j G^-1|_2 via one
-    triangular solve per row and v_uc_map = -H^-1 F via the cached
-    Cholesky factor."""
-    # W and G were checked finite when the problem was built
-    Y = sla.solve_triangular(qp.G, qp.W.T, trans="T", lower=False,
-                             check_finite=False)
+    right-side triangular solve on W and v_uc_map = -H^-1 F via the
+    cached Cholesky factor."""
+    # W G^-1 on W as held: a column-major W (as `condense` builds it) is
+    # not copied, where a solve on W' would first copy it
+    Y = dtrsm(1.0, qp.G, qp.W, side=1)
     v_uc_map = sla.cho_solve((qp.G, False), -qp.F)
     v_uc_map.setflags(write=False)
-    return Screener(zeta=np.linalg.norm(Y, axis=0), qp=qp, v_uc_map=v_uc_map)
+    return Screener(zeta=np.linalg.norm(Y, axis=1), qp=qp, v_uc_map=v_uc_map)
 
 
 def complete_slacks(v_tilde: np.ndarray, qp: SoftQP,

@@ -253,6 +253,97 @@ class TestSolveSoftQP:
             assert totals[1] >= totals[2] - 1e-7
 
 
+def _kkt_concatenated(r_v, res, rho, eps, lam, mu, scale):
+    """The definition `_kkt_residual` computes: one max over all blocks
+    concatenated."""
+    viol = res - eps
+    return np.concatenate([
+        np.abs(r_v), np.abs(rho - lam - mu), viol, -eps, -lam, -mu,
+        np.abs(lam * viol), np.abs(mu * eps)]).max(initial=0.0) / scale
+
+
+def _random_blocks(rng):
+    """Random finite (r_v, res, rho, eps, lam, mu) of mixed signs, so
+    that any block can hold the largest entry."""
+    n_v, n_c = int(rng.integers(1, 5)), int(rng.integers(0, 9))
+    r_v = rng.normal(size=n_v) * rng.lognormal(sigma=2.0)
+    res, eps, lam, mu = (rng.normal(size=n_c) * rng.lognormal(sigma=2.0)
+                         for _ in range(4))
+    return r_v, res, rng.uniform(0.2, 3.0, size=n_c), eps, lam, mu
+
+
+class TestKktResidual:
+    def test_matches_definition(self):
+        rng = np.random.default_rng(21)
+        for _ in range(2000):
+            blocks = _random_blocks(rng)
+            scale = 1.0 + rng.lognormal()
+            assert (numqp._kkt_residual(*blocks, scale)
+                    == _kkt_concatenated(*blocks, scale))
+
+    def test_nan_in_any_block_gives_nan(self):
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            blocks = _random_blocks(rng)
+            for k, block in enumerate(blocks):
+                if not len(block):
+                    continue
+                bad = list(blocks)
+                bad[k] = block.copy()
+                bad[k][rng.integers(len(block))] = np.nan
+                assert np.isnan(numqp._kkt_residual(*bad, 2.0))
+
+
+def _masked_step(x, dx, ftb):
+    """The ratio test with a mask over the negative components."""
+    neg = dx < 0
+    if not neg.any():
+        return 1.0
+    return min(1.0, float((-ftb * x[neg] / dx[neg]).min()))
+
+
+class TestMaxStep:
+    FTB = 0.995
+
+    def _steps(self, rng, kind):
+        n = int(rng.integers(1, 60))
+        x = rng.lognormal(sigma=3.0, size=n)
+        dx = np.abs(rng.normal(size=n)) * rng.lognormal(sigma=3.0, size=n)
+        dx[rng.random(n) < 0.3] = 0.0                      # exact zeros
+        neg = rng.random(n) < 0.5
+        if kind == "crossing":
+            # negative components that a full step would take past 0
+            dx[neg] = -x[neg] * (1.0 + rng.lognormal(sigma=2.0, size=n))[neg]
+        elif kind == "short":
+            # negative components a full step leaves above (1 - ftb) x
+            dx[neg] = -x[neg] * rng.uniform(0.0, 0.9, size=n)[neg]
+        elif kind == "mixed":
+            dx[neg] *= -1.0
+        return x, dx
+
+    @pytest.mark.parametrize("kind", ["nonnegative", "crossing", "short",
+                                      "mixed"])
+    def test_properties(self, kind):
+        rng = np.random.default_rng(23)
+        ftb = self.FTB
+        for _ in range(2000):
+            x, dx = self._steps(rng, kind)
+            alpha = numqp._max_step(x, dx, ftb)
+            assert 0.0 < alpha <= 1.0
+            assert (x + alpha * dx > 0.0).all()
+            if kind in ("nonnegative", "short") or not (dx < 0).any():
+                assert alpha == 1.0
+            elif kind == "crossing":
+                assert alpha < 1.0
+            if alpha < 1.0:
+                # the blocking component covers ftb of its distance to 0
+                i = int(np.argmin(np.where(dx < 0, dx / x, np.inf)))
+                left = x[i] + alpha * dx[i]
+                assert abs(left - (1.0 - ftb) * x[i]) <= 4 * np.spacing(x[i])
+            want = _masked_step(x, dx, ftb)
+            assert abs(alpha - want) <= np.spacing(want)
+
+
 def _cold_loop(qp, z):
     """`_active_set` from every row inactive, as `solve_active_set` runs
     it: its (v, eps, kkt, passes)."""
