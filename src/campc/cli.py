@@ -160,16 +160,21 @@ def cmd_bench(args) -> int:
 
 def _load_matrices(path) -> tuple:
     try:
-        data = np.load(path)
+        archive = np.load(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read matrix container {path}: {exc}") from exc
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ConfigError(f"cannot read matrix container {path}: "
+                          "not an .npz archive")
+    with archive:
+        data = dict(archive)
     need = {"A", "B", "C", "Q", "R", "N", "y_ref"}
-    missing = need - set(data.files)
+    missing = need - set(data)
     if missing:
         raise ConfigError(f"matrix container missing keys: {sorted(missing)}")
 
     def block(prefix):
-        if f"M_{prefix}" not in data.files:
+        if f"M_{prefix}" not in data:
             return None
         return ConstraintBlock(M=data[f"M_{prefix}"], g=data[f"g_{prefix}"],
                                rho=data[f"rho_{prefix}"])

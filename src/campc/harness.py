@@ -17,11 +17,11 @@ The active set is warm-started by the receding horizon principle, as
 the screen's candidate is: the loop keeps the row classes (at the
 boundary, violated) of the last step's minimizer over all rows, a
 removed row inactive, and shifts them one prediction step outside the
-timers, so a row starts in the class the same constraint ended in one
-step earlier, and the last prediction step's rows start inactive.  The
-reduced solve gathers the kept rows' classes as its `start` inside its
-timer, so every timing repeat starts from the same classes.  After a
-fallback to the interior point method the next step starts cold.
+timers by the inputs' continuation rule: each prediction step takes the
+next one's classes, and the last keeps its own.  The reduced solve
+gathers the kept rows' classes as its `start` inside its timer, so
+every timing repeat starts from the same classes.  After a fallback to
+the interior point method the next step starts cold.
 
 The plant is propagated with the controller model (no mismatch).
 
@@ -223,10 +223,10 @@ def run_closed_loop(scenario: Scenario) -> RunResult:
 
 
 def _shift_classes(classes, rows_per_step):
-    """Row classes one prediction step on: row j takes the class of row
-    j + rows_per_step, the same constraint one step later in the
-    horizon, and the last step's rows start inactive."""
-    out = np.zeros_like(classes)
+    """Row classes one prediction step on, as `shift_warm_start` shifts
+    the inputs: row j takes the class of row j + rows_per_step, the same
+    constraint one step later, and the last step's rows keep theirs."""
+    out = classes.copy()
     out[:, :classes.shape[1] - rows_per_step] = classes[:, rows_per_step:]
     return out
 

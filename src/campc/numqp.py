@@ -566,10 +566,8 @@ def enumerate_oracle(qp: SoftQP, z: np.ndarray) -> SolveResult:
     # rows first; at a basic optimum |E| <= n_v, so larger E sets are
     # skipped (their rows are dependent)
     for k in range(n_c + 1):
-        for e in range(min(k, n_v, n_c) + 1):
+        for e in range(min(k, n_v) + 1):
             p = k - e
-            if p > n_c - e:
-                continue
             pairs = []
             for E in itertools.combinations(range(n_c), e):
                 rest = [j for j in range(n_c) if j not in E]

@@ -213,8 +213,13 @@ class TestMain:
         cfg = _write_yaml(tmp_path / "c.yaml", {
             "matrices": {"path": "m.npz"},
             "scenario": {"steps": 8, "mode": mode}})
-        assert main(["run", "--config", cfg]) == EXIT_SOLVER
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_SOLVER
         assert "at step 4" in capsys.readouterr().err
+        # the steps before the failure are still written
+        with open(out / "trace.csv", newline="") as fh:
+            assert [row["k"] for row in csv.DictReader(fh)] == [
+                "0", "1", "2", "3"]
 
     def test_bench_thermal_small(self, tmp_path, capsys):
         cfg = _write_yaml(tmp_path / "c.yaml", {
@@ -268,6 +273,28 @@ class TestMain:
         cfg = _write_yaml(tmp_path / "c.yaml", {
             "matrices": "plant_path.npz", "scenario": {"steps": 3}})
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("container, message", [
+        ("npy", "cannot read matrix container"),
+        ("text", "cannot read matrix container"),
+        ("missing", "cannot read matrix container"),
+        ("no-A", "missing keys: ['A']"),
+    ], ids=["npy", "text", "missing", "no-A"])
+    def test_run_rejects_bad_container(self, tmp_path, capsys, container,
+                                       message):
+        path = tmp_path / "m.npz"
+        if container == "npy":
+            path = tmp_path / "m.npy"
+            np.save(path, np.eye(2))
+        elif container == "text":
+            path.write_text("A = [[0.5]]\n")
+        elif container == "no-A":
+            np.savez(path, B=np.eye(1), C=np.eye(1), Q=np.eye(1),
+                     R=np.eye(1), N=2, y_ref=np.ones((5, 1)))
+        cfg = _write_yaml(tmp_path / "c.yaml", {
+            "matrices": {"path": path.name}, "scenario": {"steps": 3}})
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ["A", "y_ref", "x0"])
     def test_run_rejects_non_finite_matrices(self, tmp_path, bad):

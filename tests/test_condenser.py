@@ -409,6 +409,9 @@ class TestPerStepVectors:
         cqp = condense(model, prob)
         with pytest.raises(DimensionError):
             assemble_z([1.0, 2.0], [0.0], [[0.0], [0.0]], layout=cqp.layout)
+        for window in ([[0.0]], [[0.0], [0.0], [0.0]], [[0.0], [0.0, 1.0]]):
+            with pytest.raises(DimensionError, match="^reference window"):
+                assemble_z([1.0], [0.0], window, layout=cqp.layout)
 
     def test_warm_start_shift(self):
         model = StateSpaceModel(A=[[1.0]], B=[[1.0]], C=[[1.0]])
@@ -419,6 +422,9 @@ class TestPerStepVectors:
                           eps_star=prev.eps_star, objective=0.0,
                           status=prev.status, iterations=0, kkt_residual=0.0)
         assert np.array_equal(shift_warm_start(prev, cqp), [2.0, 3.0, 0.0])
+        short = dataclasses.replace(prev, v_star=np.array([1.0, 2.0]))
+        with pytest.raises(DimensionError, match="has length 2, expected 3"):
+            shift_warm_start(short, cqp)
 
     def test_warm_start_block_shift(self):
         model = StateSpaceModel(A=np.eye(2), B=np.eye(2), C=np.eye(2))
@@ -436,6 +442,9 @@ class TestPerStepVectors:
         assert np.allclose(extract_input([0.0, 1.0], [2.0]), [2.0])
         assert np.allclose(
             extract_input([0.1, 0.2, 0.3, 0.4], [1.0, -1.0]), [1.1, -0.8])
+        for v_star in ([0.5], [0.1, 0.2, 0.3]):
+            with pytest.raises(DimensionError, match="incompatible"):
+                extract_input(v_star, [1.0, -1.0])
 
 
 class TestModelValidation:
@@ -484,6 +493,17 @@ class TestModelValidation:
         with pytest.raises(ValueError, match=f"^{name} holds NaN or inf"):
             ConstraintBlock(**data)
 
+    @pytest.mark.parametrize("kwargs, error, match", [
+        ({"M": np.eye(3)}, DimensionError, "^constraint block rows"),
+        ({"rho": [1.0, 0.0]}, ValueError, "^slack penalties must be positive"),
+        ({"rho": -1.0}, ValueError, "^slack penalties must be positive")],
+        ids=["M-rows", "zero-rho", "negative-rho"])
+    def test_constraint_block_rejects_bad_rows_or_rho(self, kwargs, error,
+                                                      match):
+        with pytest.raises(error, match=match):
+            ConstraintBlock(**{"M": np.eye(2), "g": np.ones(2),
+                               "rho": np.ones(2), **kwargs})
+
     def test_constraint_block_rejects_non_finite_sparse_m(self):
         M = sparse.identity(2, format="csr")
         M.data[-1] = np.nan
@@ -518,6 +538,23 @@ class TestModelValidation:
         with pytest.raises(ValueError, match=match):
             TrackingProblem(**{"Q": np.eye(2), "R": np.eye(1), "N": 2,
                                **kwargs})
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"Q": np.eye(3)}, "^Q must be 2x2"),
+        ({"R": np.eye(2)}, "^R must be 1x1"),
+        ({"state_constraints": ConstraintBlock(np.eye(2), np.ones(2), 1.0)},
+         "^constraint block column counts"),
+        ({"rate_constraints": ConstraintBlock(np.ones((1, 2)), [1.0], 1.0)},
+         "^constraint block column counts")],
+        ids=["Q", "R", "state-columns", "rate-columns"])
+    def test_condense_rejects_problem_of_another_model(self, kwargs, match):
+        # n_x = 3, n_u = 1, n_y = 2
+        model = StateSpaceModel(A=0.5 * np.eye(3), B=np.ones((3, 1)),
+                                C=np.ones((2, 3)))
+        prob = TrackingProblem(**{"Q": np.eye(2), "R": np.eye(1), "N": 2,
+                                  **kwargs})
+        with pytest.raises(DimensionError, match=match):
+            condense(model, prob)
 
     def test_tracking_problem_accepts_zero_r(self):
         # r_scale: 0 is a valid thermal config; H's Cholesky still

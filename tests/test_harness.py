@@ -121,10 +121,9 @@ class TestClosedLoop:
 
 
 def _shift_sources(cqp):
-    """For each row j, the row whose class `_shift_classes` hands it, or
-    -1 for a row that starts inactive."""
-    marks = np.arange(1, cqp.n_c + 1)[None]    # 0 marks "no source"
-    return harness._shift_classes(marks, cqp.n_c // cqp.layout.N)[0] - 1
+    """For each row j, the row whose class `_shift_classes` hands it."""
+    marks = np.arange(cqp.n_c)[None]
+    return harness._shift_classes(marks, cqp.n_c // cqp.layout.N)[0]
 
 
 class TestShiftClasses:
@@ -138,8 +137,11 @@ class TestShiftClasses:
         assert np.array_equal(prov.kind[src[j]], prov.kind[j])
         assert np.array_equal(prov.row[src[j]], prov.row[j])
         assert np.array_equal(prov.step[src[j]], prov.step[j] + 1)
-        # the last prediction step's rows start inactive
-        assert np.all(src[len(j):] == -1)
+        # the last prediction step's rows keep their own previous classes
+        last = np.arange(len(j), cqp.n_c)
+        assert np.array_equal(src[last], last)
+        assert np.array_equal(prov.step[last],
+                              prov.step[last - rows_per_step] + 1)
 
     def test_thermal(self, thermal_setup):
         model, prob, _ = thermal_setup
@@ -160,7 +162,7 @@ class TestShiftClasses:
                             [False, True, True, False, False, False]])
         shifted = harness._shift_classes(classes, 2)
         assert shifted.dtype == bool
-        assert np.array_equal(shifted, [[False, True, False, True, False, False],
+        assert np.array_equal(shifted, [[False, True, False, True, False, True],
                                         [True, False, False, False, False, False]])
         assert np.array_equal(harness._shift_classes(classes[:, :0], 0),
                               np.zeros((2, 0), dtype=bool))

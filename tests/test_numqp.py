@@ -80,6 +80,18 @@ class TestSoftQPValidation:
         with pytest.raises(DimensionError, match=f"^{re.escape(want)}$"):
             SoftQP(**data)
 
+    @pytest.mark.parametrize("name, shape, message", [
+        ("H", (2, 2, 1), "H must be a 2-d array, got ndim=3"),
+        ("H", (2, 3), "H must be square, got (2, 3)"),
+        ("F", (3, 2), "F has 3 rows, expected 2")],
+        ids=["3-d-H", "nonsquare-H", "F-rows"])
+    def test_rejects_misshapen_h_or_f(self, name, shape, message):
+        data = dict(H=np.eye(2), F=np.ones((2, 2)), W=np.ones((3, 2)),
+                    c=np.zeros(3), L=np.ones((3, 2)), rho=np.ones(3))
+        data[name] = np.ones(shape)
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            SoftQP(**data)
+
     def test_reshapes_1d_w_and_l(self):
         qp = SoftQP(H=np.eye(2), F=np.ones((2, 2)), W=np.arange(6.0),
                     c=np.zeros(3), L=np.arange(6.0), rho=np.ones(3))
@@ -209,9 +221,15 @@ class TestSolveSoftQP:
                 solve_soft_qp(qp, [-1.0], rhs=rhs)
 
     def test_iteration_cap(self):
-        res = solve_soft_qp(scalar_qp(), [-1.0],
-                            SolverOptions(max_iterations=1))
-        assert res.status == MAX_ITERATIONS
+        uncapped = solve_soft_qp(scalar_qp(), [-1.0])
+        # the sixth iterate already meets tol, so a cap of 6 still ends
+        # Optimal, at the uncapped minimizer; one iteration fewer does not
+        for cap, status in ((1, MAX_ITERATIONS), (5, MAX_ITERATIONS),
+                            (6, OPTIMAL)):
+            res = solve_soft_qp(scalar_qp(), [-1.0],
+                                SolverOptions(max_iterations=cap))
+            assert (res.status, res.iterations) == (status, cap)
+        assert np.array_equal(res.v_star, uncapped.v_star)
 
     def test_kkt_residual_reported(self):
         rng = np.random.default_rng(11)

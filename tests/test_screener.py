@@ -69,6 +69,10 @@ class TestCompleteSlacks:
         assert np.array_equal(complete_slacks([1.0], qp, [0.0]),
                               [0.0, 0.0, 2.0])
 
+    def test_candidate_length_checked(self):
+        with pytest.raises(DimensionError, match="has length 2, expected 1"):
+            complete_slacks([1.0, 2.0], scalar_qp(), [-1.0])
+
 
 class TestEllipsoidBound:
     def test_pinned_feasible_case(self):
@@ -452,6 +456,9 @@ class TestReduceAndExpand:
         kept = KeptSet(indices=idx, n_c=3)
         idx[0] = 5
         assert list(kept.indices) == [0, 2]
+        # a kept set of another problem would take the wrong rows
+        with pytest.raises(DimensionError, match="different problem"):
+            reduce_qp(scalar_qp(), kept)
 
     def test_expand_checks_its_inputs(self):
         # each input of expand_solution must fit the problem: a one-row

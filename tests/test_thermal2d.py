@@ -310,6 +310,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ThermalConfig(n=2)
 
+    @pytest.mark.parametrize("dt", [0.0, -1.0])
+    def test_rejects_nonpositive_sample_time(self, dt):
+        with pytest.raises(ValueError, match="^sample time must be positive"):
+            ThermalConfig(dt=dt)
+
     def test_rejects_oversized_output_block(self):
         with pytest.raises(ValueError):
             ThermalConfig(n=4, output_block=5)
