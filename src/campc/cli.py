@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -160,18 +161,25 @@ def cmd_bench(args) -> int:
 
 def _load_matrices(path) -> tuple:
     try:
-        archive = np.load(path)
-    except (OSError, ValueError) as exc:
+        # the file is opened here, so that it is closed even when np.load
+        # fails on it; reading the members checks each one's CRC and dtype
+        with open(path, "rb") as fh:
+            archive = np.load(fh)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError("not an .npz archive")
+            with archive:
+                data = dict(archive)
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"cannot read matrix container {path}: {exc}") from exc
-    if not isinstance(archive, np.lib.npyio.NpzFile):
-        raise ConfigError(f"cannot read matrix container {path}: "
-                          "not an .npz archive")
-    with archive:
-        data = dict(archive)
+    for key, val in data.items():
+        if val.dtype.kind not in "biuf":
+            raise ConfigError(f"{key} in {path} must hold real numbers, "
+                              f"got dtype {val.dtype}")
     need = {"A", "B", "C", "Q", "R", "N", "y_ref"}
     missing = need - set(data)
     if missing:
-        raise ConfigError(f"matrix container missing keys: {sorted(missing)}")
+        raise ConfigError(
+            f"matrix container {path} missing keys: {sorted(missing)}")
 
     def block(prefix):
         if f"M_{prefix}" not in data:

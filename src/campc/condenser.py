@@ -27,7 +27,7 @@ import numpy as np
 from scipy import sparse
 
 from campc.numqp import (DimensionError, SoftQP, SolveResult, _as_matrix,
-                         _as_vector, _require_count, _require_finite)
+                         _require_count, _require_finite)
 
 KIND_STATE = "state"
 KIND_INPUT = "input"
@@ -42,6 +42,7 @@ class KroneckerOperator:
     (P columns, Q columns): 2pq(p + q) flops for p x p and q x q
     factors, against (pq)^2 for the dense product.  `A @ X` applies it
     to each column of X, and `np.asarray(A)` gives the dense matrix.
+    It holds its own read-only copies of the factors.
     """
 
     P: np.ndarray
@@ -84,7 +85,8 @@ class StateSpaceModel:
     A is a dense array or a `KroneckerOperator`; an operator is checked
     factor by factor and never made dense.  A 2-d B must have n_x rows
     and a 2-d C n_x columns; a 1-d one is reshaped to fit, and one of
-    more dimensions is rejected.
+    more dimensions is rejected.  The model holds its own read-only
+    copy of each array it is given.
     """
 
     A: np.ndarray | KroneckerOperator
@@ -100,8 +102,8 @@ class StateSpaceModel:
             A = np.ascontiguousarray(_as_matrix(A, "A"))
             factors = (A,)
         n_x = A.shape[0]
-        B = np.asarray(self.B, dtype=float)
-        C = np.asarray(self.C, dtype=float)
+        B = np.array(self.B, dtype=float)
+        C = np.array(self.C, dtype=float)
         for name, val, axis in (("B", B, 0), ("C", C, 1)):
             if val.ndim > 2 or val.ndim == 2 and val.shape[axis] != n_x:
                 raise DimensionError(
@@ -137,7 +139,7 @@ class ConstraintBlock:
 
     M is given as a dense array or a `scipy.sparse` matrix and held as
     one CSR copy with only its nonzeros, checked for finiteness on
-    those stored entries.
+    those stored entries.  M, g and rho are read-only copies.
     """
 
     M: sparse.csr_matrix
@@ -148,8 +150,8 @@ class ConstraintBlock:
         M = self.M if sparse.issparse(self.M) else _as_matrix(self.M, "M")
         M = sparse.csr_matrix(M, dtype=float, copy=True)
         M.sum_duplicates()
-        g = _as_vector(self.g)
-        rho = np.asarray(self.rho, dtype=float)
+        g = np.array(self.g, dtype=float).ravel()
+        rho = np.array(self.rho, dtype=float)
         rho = np.full(len(g), float(rho)) if rho.ndim == 0 else rho.ravel()
         if M.shape[0] != len(g) or len(rho) != len(g):
             raise DimensionError("constraint block rows inconsistent")
@@ -179,7 +181,7 @@ class TrackingProblem:
     `cholesky_factor`, which checks that the condensed H is definite.
     N is an integer >= 1.  State constraints apply at prediction steps
     1..N, input and rate constraints at steps 0..N-1; any block may have
-    zero rows.
+    zero rows.  Q and R are read-only copies.
     """
 
     Q: np.ndarray
@@ -242,6 +244,7 @@ class CondensedQP(SoftQP):
 
     L is None: z enters only through F and the model's free response,
     which gives c + Lz (`bound`) and the dropped cost (`cost_constant`).
+    Every array it holds, `_M`'s and the provenance's too, is read-only.
     """
 
     model: StateSpaceModel
@@ -373,12 +376,16 @@ def condense(model: StateSpaceModel, prob: TrackingProblem) -> CondensedQP:
     W = np.empty((N * blk, n_v), order="F")
     for i, s_i in enumerate(S):
         W[i * blk:(i + 1) * blk] = M @ s_i[:, n_u:]
+    provenance = Provenance(np.tile(kind, N), step, np.tile(row, N))
+    # read-only, as the arrays `SoftQP` copies are
+    for val in (M.data, M.indices, M.indptr, *vars(provenance).values()):
+        val.setflags(write=False)
     return CondensedQP(
         H=H, F=F, W=W,
         c=np.tile(np.concatenate([b.g for b in blocks]), N), L=None,
         rho=np.tile(np.concatenate([b.rho for b in blocks]), N),
         model=model, problem=prob, layout=layout,
-        provenance=Provenance(np.tile(kind, N), step, np.tile(row, N)), _M=M)
+        provenance=provenance, _M=M)
 
 
 def assemble_z(x: np.ndarray, u_prev: np.ndarray, y_refs,

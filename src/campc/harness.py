@@ -23,7 +23,10 @@ gathers the kept rows' classes as its `start` inside its timer, so
 every timing repeat starts from the same classes.  After a fallback to
 the interior point method the next step starts cold.
 
-The plant is propagated with the controller model (no mismatch).
+The plant is propagated with the controller model (no mismatch).  The
+model, the problem and the condensed QP each hold their own read-only
+copy of what they are given, so a caller's later write to an array
+changes neither the run nor the screener's row norms.
 
 Each step forms the constraint right-hand side c + Lz once, from a
 model rollout (`CondensedQP.bound`), outside every timer.  The full
@@ -39,8 +42,8 @@ The rollout and the plant update only ever form A @ x, so a
 from __future__ import annotations
 
 import csv
-import time
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -139,7 +142,6 @@ def run_closed_loop(scenario: Scenario) -> RunResult:
     C = scenario.model.C
     n_c = cqp.n_c
     rows_per_step = n_c // cqp.layout.N
-    clock = time.perf_counter
 
     x = scenario.x0.copy()
     u_prev = scenario.u_prev0.copy()
@@ -163,9 +165,9 @@ def run_closed_loop(scenario: Scenario) -> RunResult:
         repeats = scenario.timing_repeats
         res_full = None
         if do_full:
-            res_full, t_full = _timed(
-                lambda: solve_soft_qp(cqp, z, scenario.options, rhs=rhs),
-                repeats, clock)
+            (res_full,), (t_full,) = _timed(
+                [lambda _: solve_soft_qp(cqp, z, scenario.options, rhs=rhs)],
+                repeats)
             if full_mode:
                 trace.t_solve_s = t_full
             else:
@@ -191,9 +193,10 @@ def run_closed_loop(scenario: Scenario) -> RunResult:
             # so a load spike hits both measurements, not just one; an
             # overflowing Fz keeps every row and fails the solve, unwarned
             with np.errstate(over="ignore", invalid="ignore"):
-                kept, (start, res_red), trace.t_screen_s, trace.t_solve_s = (
-                    _timed_pair(lambda: cache.step(v_tilde, v_uc, rhs),
-                                solve_step, repeats, clock))
+                (kept, (start, res_red)), (trace.t_screen_s,
+                                           trace.t_solve_s) = _timed(
+                    [lambda _: cache.step(v_tilde, v_uc, rhs), solve_step],
+                    repeats)
             _require_optimal(res_red, k, traces)
             classes[:] = False
             classes[:, kept.indices] = start
@@ -231,29 +234,22 @@ def _shift_classes(classes, rows_per_step):
     return out
 
 
-def _timed(fn, repeats, clock):
-    """Run a pure computation, timing it best-of-`repeats`."""
-    t0 = clock()
-    out = fn()
-    best = clock() - t0
-    for _ in range(repeats - 1):
-        t0 = clock()
-        fn()
-        best = min(best, clock() - t0)
-    return out, best
+def _timed(fns, repeats):
+    """Run chained pure computations in `repeats` rounds.
 
-
-def _timed_pair(first, second, repeats, clock):
-    """Time two chained pure computations, best-of-`repeats` each."""
-    best1 = best2 = float("inf")
+    Each round calls `fns` in order, each on the previous one's output
+    (the first on None), and times each call alone.  Returns the last
+    round's outputs and each computation's best time.
+    """
+    best = [float("inf")] * len(fns)
     for _ in range(repeats):
-        t0 = clock()
-        out1 = first()
-        t1 = clock()
-        out2 = second(out1)
-        best2 = min(best2, clock() - t1)
-        best1 = min(best1, t1 - t0)
-    return out1, out2, best1, best2
+        outs, out = [], None
+        for i, fn in enumerate(fns):
+            t0 = perf_counter()
+            out = fn(out)
+            best[i] = min(best[i], perf_counter() - t0)
+            outs.append(out)
+    return outs, best
 
 
 def _require_optimal(res, k, traces):
@@ -330,7 +326,7 @@ def screening_time_sweep(n_c_values=(500, 1000, 2000, 4000), n_v: int = 15,
         raise ValueError("the fit needs at least three distinct n_c values")
     rng = np.random.default_rng(seed)
     n_z = 40
-    cases = []
+    screens = []
     for n_c in n_c_values:
         M = rng.normal(size=(n_v, n_v))
         H = M @ M.T + 0.1 * np.eye(n_v)
@@ -346,15 +342,11 @@ def screening_time_sweep(n_c_values=(500, 1000, 2000, 4000), n_v: int = 15,
         z = rng.normal(size=n_z)
         v_uc = qp.unconstrained_minimizer(z)
         v_tilde = v_uc + 0.1 * rng.normal(size=n_v)
-        cases.append((cache, qp.bound(z), v_uc, v_tilde))
-    # the sizes take turns within each repeat, so a burst of host load
-    # slows every size alike instead of all repeats of one size
-    times = [float("inf")] * len(cases)
-    for _ in range(repeats):
-        for i, (cache, rhs, v_uc, v_tilde) in enumerate(cases):
-            t0 = time.perf_counter()
-            cache.step(v_tilde, v_uc, rhs)
-            times[i] = min(times[i], time.perf_counter() - t0)
+        screens.append(lambda _, step=cache.step, args=(
+            v_tilde, v_uc, qp.bound(z)): step(*args))
+    # the sizes take turns within each round, so a burst of host load
+    # slows every size alike instead of all rounds of one size
+    _, times = _timed(screens, repeats)
     x = np.asarray(n_c_values, dtype=float)
     y = np.asarray(times)
     slope, intercept = np.polyfit(x, y, 1)

@@ -61,7 +61,8 @@ NUMERICAL_FAILURE = "NumericalFailure"
 
 
 def _as_matrix(M, name):
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    """A float copy of M as a 2-d array."""
+    M = np.atleast_2d(np.array(M, dtype=float))
     if M.ndim != 2:
         raise DimensionError(f"{name} must be a 2-d array, got ndim={M.ndim}")
     return M
@@ -71,9 +72,9 @@ def _as_vector(v):
 
 
 def _as_shaped(M, name, shape):
-    """M as a float array of `shape`: a 2-d M must have that shape, and a
+    """A float copy of M of `shape`: a 2-d M must have that shape, and a
     1-d one is reshaped to it."""
-    M = np.asarray(M, dtype=float)
+    M = np.array(M, dtype=float)
     if (M.ndim > 2 or M.ndim == 2 and M.shape != shape
             or M.size != shape[0] * shape[1]):
         raise DimensionError(f"{name} has shape {M.shape}, expected {shape}")
@@ -116,7 +117,8 @@ def cholesky_factor(H: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SoftQP:
-    """Data of a soft-constrained QP; immutable after construction.
+    """Data of a soft-constrained QP; immutable after construction: it
+    holds its own read-only copy of each array it is given.
 
     The Cholesky factor G of H (upper triangular, H = G'G) is computed
     once and cached.  A 2-d W must be (len(c), n_v) and a 2-d L
@@ -137,8 +139,8 @@ class SoftQP:
         H = _as_matrix(self.H, "H")
         F = _as_matrix(self.F, "F")
         n_v = H.shape[0]
-        c = _as_vector(self.c)
-        rho = _as_vector(self.rho)
+        c = np.array(self.c, dtype=float).ravel()
+        rho = np.array(self.rho, dtype=float).ravel()
         W = _as_shaped(self.W, "W", (len(c), n_v))
         data = dict(H=H, F=F, W=W, c=c, rho=rho)
         if self.L is not None:
@@ -151,8 +153,8 @@ class SoftQP:
         if len(rho) and rho.min() <= 0.0:
             raise ValueError("all slack penalties rho must be positive")
         _require_finite(**data)
-        data["G"] = np.asarray(
-            self.G if self.G is not None else cholesky_factor(H))
+        data["G"] = (np.array(self.G) if self.G is not None
+                     else cholesky_factor(H))
         for name, val in data.items():
             val.setflags(write=False)
             object.__setattr__(self, name, val)
@@ -200,8 +202,8 @@ class SolverOptions:
     max_iterations: int = 200
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
         _require_count("max_iterations", self.max_iterations, 1)
 
 

@@ -75,7 +75,8 @@ class Screener:
     n_v x n_z product instead of a product with F and two triangular
     solves.  One keep rule (see `screen`) decides every row; a row with
     a zero normal (zeta_j = 0) needs no rule of its own, since it is
-    kept exactly when c_j + L_j z <= tau.
+    kept exactly when c_j + L_j z <= tau.  `precompute_row_norms` makes
+    zeta and v_uc_map read-only, as the problem's own arrays are.
     """
 
     zeta: np.ndarray
@@ -135,9 +136,11 @@ def precompute_row_norms(qp: SoftQP) -> Screener:
     # W G^-1 on W as held: a column-major W (as `condense` builds it) is
     # not copied, where a solve on W' would first copy it
     Y = dtrsm(1.0, qp.G, qp.W, side=1)
+    zeta = np.linalg.norm(Y, axis=1)
     v_uc_map = sla.cho_solve((qp.G, False), -qp.F)
-    v_uc_map.setflags(write=False)
-    return Screener(zeta=np.linalg.norm(Y, axis=1), qp=qp, v_uc_map=v_uc_map)
+    for val in (zeta, v_uc_map):
+        val.setflags(write=False)
+    return Screener(zeta=zeta, qp=qp, v_uc_map=v_uc_map)
 
 
 def complete_slacks(v_tilde: np.ndarray, qp: SoftQP,

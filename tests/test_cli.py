@@ -130,7 +130,8 @@ class TestMain:
     @pytest.mark.parametrize("section", [
         {"solver": {"tol": "abc"}}, {"thermal": {"n": "abc"}},
         {"thermal": [1, 2]}, {"solver": "tight"}, {"scenario": [5]},
-        {"solver": {"tol": -1}}, {"solver": {"max_iterations": 0}},
+        {"solver": {"tol": -1}}, {"solver": {"tol": float("inf")}},
+        {"solver": {"max_iterations": 0}},
         {"solver": {"fraction_to_boundary": 1.5}},
         {"thermal": {"alpha": float("nan")}},
         {"thermal": {"bound": {"peak": float("inf")}}},
@@ -279,22 +280,45 @@ class TestMain:
         ("text", "cannot read matrix container"),
         ("missing", "cannot read matrix container"),
         ("no-A", "missing keys: ['A']"),
-    ], ids=["npy", "text", "missing", "no-A"])
+        ("empty", "cannot read matrix container"),
+        ("truncated", "cannot read matrix container"),
+        ("bad-crc", "Bad CRC-32"),
+        ("object", "cannot read matrix container"),
+        ("complex", "A in "),
+    ], ids=["npy", "text", "missing", "no-A", "empty", "truncated",
+            "bad-crc", "object", "complex"])
     def test_run_rejects_bad_container(self, tmp_path, capsys, container,
                                        message):
         path = tmp_path / "m.npz"
+        data = dict(A=np.eye(1) * 0.5, B=np.eye(1), C=np.eye(1), Q=np.eye(1),
+                    R=np.eye(1), N=2, y_ref=np.ones((5, 1)))
         if container == "npy":
             path = tmp_path / "m.npy"
             np.save(path, np.eye(2))
         elif container == "text":
             path.write_text("A = [[0.5]]\n")
         elif container == "no-A":
-            np.savez(path, B=np.eye(1), C=np.eye(1), Q=np.eye(1),
-                     R=np.eye(1), N=2, y_ref=np.ones((5, 1)))
+            np.savez(path, **{k: v for k, v in data.items() if k != "A"})
+        elif container == "empty":
+            path.write_bytes(b"")
+        elif container in ("truncated", "bad-crc"):
+            np.savez(path, **data)
+            raw = path.read_bytes()
+            # A's one entry, 0.5, is the only such run of bytes
+            raw = (raw[:len(raw) // 2] if container == "truncated" else
+                   raw.replace(np.float64(0.5).tobytes(),
+                               np.float64(0.25).tobytes()))
+            path.write_bytes(raw)
+        elif container == "object":
+            np.savez(path, **{**data, "A": np.array([[0.5]], dtype=object)})
+        elif container == "complex":
+            np.savez(path, **{**data, "A": (0.9 + 1e-3j) * np.eye(1)})
         cfg = _write_yaml(tmp_path / "c.yaml", {
             "matrices": {"path": path.name}, "scenario": {"steps": 3}})
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert str(path) in err
 
     @pytest.mark.parametrize("bad", ["A", "y_ref", "x0"])
     def test_run_rejects_non_finite_matrices(self, tmp_path, bad):

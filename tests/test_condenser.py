@@ -20,7 +20,7 @@ from campc.condenser import (
     extract_input,
     shift_warm_start,
 )
-from campc.numqp import DimensionError, cholesky_factor, solve_soft_qp
+from campc.numqp import DimensionError, SoftQP, cholesky_factor, solve_soft_qp
 from campc.screener import precompute_row_norms
 
 
@@ -307,22 +307,26 @@ def _bound_by_rollout(model, prob, z):
     return -_rollout(model, prob, z, np.zeros(n_v))[1]
 
 
-def _array_bytes(obj, seen=None):
-    """Bytes of the arrays `obj` holds, through dataclasses and sparse
-    matrices; objects whose id is in `seen` are skipped, and each one
-    counted is added to it."""
-    if seen is not None:
-        if id(obj) in seen:
-            return 0
-        seen.add(id(obj))
+def _held_arrays(obj, seen):
+    """The arrays `obj` holds, through dataclasses and sparse matrices;
+    objects whose id is in `seen` are skipped, and each one visited is
+    added to it."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
     if isinstance(obj, np.ndarray):
-        return obj.nbytes
-    if sparse.issparse(obj):
-        return obj.data.nbytes + obj.indices.nbytes + obj.indptr.nbytes
-    if dataclasses.is_dataclass(obj):
-        return sum(_array_bytes(getattr(obj, f.name), seen)
-                   for f in dataclasses.fields(obj))
-    return 0
+        yield obj
+    elif sparse.issparse(obj):
+        yield from (obj.data, obj.indices, obj.indptr)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _held_arrays(getattr(obj, f.name), seen)
+
+
+def _array_bytes(obj, seen=None):
+    """Bytes of the arrays `obj` holds (`_held_arrays`)."""
+    return sum(val.nbytes for val in _held_arrays(
+        obj, set() if seen is None else seen))
 
 
 def _rel_err(got, want):
@@ -570,3 +574,40 @@ class TestModelValidation:
         data[name][0, 0] = np.inf
         with pytest.raises(ValueError, match=f"^{name} holds NaN or inf"):
             TrackingProblem(N=2, **data)
+
+
+def _condensed(A, B, C, Q, R, M, g, rho):
+    return condense(StateSpaceModel(A=A, B=B, C=C), TrackingProblem(
+        Q=Q, R=R, N=2, input_constraints=ConstraintBlock(M=M, g=g, rho=rho)))
+
+
+_QP_ARRAYS = dict(H=2.0 * np.eye(2), F=np.ones((2, 1)), W=np.ones((3, 2)),
+                  c=np.ones(3), L=np.ones((3, 1)), rho=np.ones(3),
+                  G=np.sqrt(2.0) * np.eye(2))
+
+
+@pytest.mark.parametrize("build, given", [
+    (SoftQP, _QP_ARRAYS),
+    (lambda **a: precompute_row_norms(SoftQP(**a)), _QP_ARRAYS),
+    (lambda **a: TrackingProblem(N=2, **a), dict(Q=np.eye(1), R=np.eye(2))),
+    (KroneckerOperator, dict(P=np.eye(2), Q=np.ones((3, 3)))),
+    (StateSpaceModel,
+     dict(A=0.5 * np.eye(2), B=np.ones((2, 1)), C=np.ones((1, 2)))),
+    (ConstraintBlock, dict(M=np.eye(2), g=np.ones(2), rho=np.ones(2))),
+    (_condensed, dict(A=0.5 * np.eye(2), B=np.ones((2, 1)),
+                      C=np.ones((1, 2)), Q=np.eye(1), R=np.eye(1),
+                      M=np.eye(1), g=np.ones(1), rho=np.ones(1))),
+], ids=["SoftQP", "Screener", "TrackingProblem", "KroneckerOperator",
+        "StateSpaceModel", "ConstraintBlock", "CondensedQP"])
+def test_containers_hold_read_only_copies(build, given):
+    # a caller's later write must not change the problem, nor leave a
+    # screener's row norms stale
+    given = {name: val.copy() for name, val in given.items()}
+    held = build(**given)
+    before = [val.copy() for val in _held_arrays(held, set())]
+    for val in given.values():
+        assert val.flags.writeable
+        val += 100.0
+    after = list(_held_arrays(held, set()))
+    assert all(np.array_equal(x, y) for x, y in zip(before, after))
+    assert not any(val.flags.writeable for val in after)

@@ -281,6 +281,35 @@ class TestTraceCsv:
             assert float(row["t_screen_s"]) > 0.0
 
 
+class TestTimed:
+    def test_rounds_chain_and_best_times(self, monkeypatch):
+        # durations[r][i]: how long the clock says call i of round r took
+        durations = [[3.0, 5.0], [1.0, 7.0], [2.0, 4.0]]
+        readings, t = [], 0.0
+        for row in durations:
+            for d in row:
+                readings += [t, t + d]
+                t += d + 0.5
+        clock = iter(readings)
+        monkeypatch.setattr(harness, "perf_counter", clock.__next__)
+        calls = []
+
+        def computation(name):
+            def call(arg):
+                calls.append((name, arg))
+                return name, len(calls)
+            return call
+
+        outs, best = harness._timed(
+            [computation("first"), computation("second")], repeats=3)
+        assert calls == [("first", None), ("second", ("first", 1)),
+                         ("first", None), ("second", ("first", 3)),
+                         ("first", None), ("second", ("first", 5))]
+        assert outs == [("first", 5), ("second", 6)]
+        assert best == [1.0, 4.0]
+        assert next(clock, None) is None   # two readings per call
+
+
 class TestScreeningSweep:
     def test_linear_scaling(self):
         out = screening_time_sweep(n_c_values=(500, 1000, 2000, 4000),

@@ -116,7 +116,7 @@ class TestSoftQPValidation:
 
 class TestSolverOptionsValidation:
     @pytest.mark.parametrize("kwargs", [
-        {"tol": 0.0}, {"tol": -1.0}, {"tol": np.nan},
+        {"tol": 0.0}, {"tol": -1.0}, {"tol": np.nan}, {"tol": np.inf},
         {"max_iterations": 0}, {"max_iterations": 2.5},
         {"max_iterations": True}])
     def test_rejects_out_of_range(self, kwargs):
