@@ -15,9 +15,12 @@ c + Lz = c - M s_i(z, 0) in `CondensedQP.bound`, so no dense L and no
 N-fold block is formed.  The x columns of F come from a transposed
 rollout, A' applied to C'.
 
-The model's A is a dense array or a `KroneckerOperator`; the condenser
+The model's A is a dense array or a `KroneckerOperator`; `condense`
 only ever forms A @ x and A' @ x, so a separable model is rolled out
-through its factors without a dense n_x x n_x matrix.
+through its factors without a dense n_x x n_x matrix.  For such a model
+it also caches the horizon powers of the factors (`KroneckerPowers`),
+from which `CondensedQP` forms all N free-response states at once; a
+dense A is rolled out step by step.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ import numpy as np
 from scipy import sparse
 
 from campc.numqp import (DimensionError, SoftQP, SolveResult, _as_matrix,
-                         _require_count, _require_finite)
+                         _float_copy, _require_count, _require_finite)
 
 KIND_STATE = "state"
 KIND_INPUT = "input"
@@ -102,8 +105,8 @@ class StateSpaceModel:
             A = np.ascontiguousarray(_as_matrix(A, "A"))
             factors = (A,)
         n_x = A.shape[0]
-        B = np.array(self.B, dtype=float)
-        C = np.array(self.C, dtype=float)
+        B = _float_copy(self.B, "B")
+        C = _float_copy(self.C, "C")
         for name, val, axis in (("B", B, 0), ("C", C, 1)):
             if val.ndim > 2 or val.ndim == 2 and val.shape[axis] != n_x:
                 raise DimensionError(
@@ -147,11 +150,14 @@ class ConstraintBlock:
     rho: np.ndarray
 
     def __post_init__(self):
-        M = self.M if sparse.issparse(self.M) else _as_matrix(self.M, "M")
-        M = sparse.csr_matrix(M, dtype=float, copy=True)
+        if sparse.issparse(self.M):
+            M = sparse.csr_matrix(self.M, copy=True)
+            M.data = _float_copy(M.data, "M")
+        else:
+            M = sparse.csr_matrix(_as_matrix(self.M, "M"))
         M.sum_duplicates()
-        g = np.array(self.g, dtype=float).ravel()
-        rho = np.array(self.rho, dtype=float)
+        g = _float_copy(self.g, "g").ravel()
+        rho = _float_copy(self.rho, "rho")
         rho = np.full(len(g), float(rho)) if rho.ndim == 0 else rho.ravel()
         if M.shape[0] != len(g) or len(rho) != len(g):
             raise DimensionError("constraint block rows inconsistent")
@@ -238,6 +244,50 @@ class Provenance:
         return len(self.kind)
 
 
+@dataclass(frozen=True)
+class KroneckerPowers:
+    """The horizon powers of A = kron(P, Q), for the free response.
+
+    With A^i = kron(P^i, Q^i) for p x p and q x q factors, the N states
+    x_i = A^i x + Gamma_i u, i = 1..N, come from one product with the
+    stacked powers of P, one batched product with those of Q, one
+    product with the stacked input response and one add, in place of N
+    products with A.  The three arrays are read-only.
+    """
+
+    P_powers: np.ndarray    # [P; P^2; ...; P^N], (N p, p)
+    Q_powers_T: np.ndarray  # (Q^i)' for i = 1..N, (N, q, q)
+    gamma: np.ndarray       # [Gamma_1; ...; Gamma_N], Gamma_i = sum_{j<i} A^j B
+
+    @classmethod
+    def of(cls, A: KroneckerOperator, B: np.ndarray, N: int):
+        """The powers for horizon N: 2(N - 1) products of the factors
+        and N - 1 products of A on B."""
+        P, Q = A.P, A.Q
+        P_powers = np.empty((N, *P.shape))
+        Q_powers_T = np.empty((N, *Q.shape))
+        gamma = np.empty((N, *B.shape))
+        P_powers[0], Q_powers_T[0], gamma[0] = P, Q.T, B
+        for i in range(1, N):
+            P_powers[i] = P @ P_powers[i - 1]
+            Q_powers_T[i] = Q_powers_T[i - 1] @ Q.T
+            gamma[i] = A @ gamma[i - 1] + B
+        powers = cls(P_powers.reshape(-1, P.shape[1]), Q_powers_T,
+                     gamma.reshape(-1, B.shape[1]))
+        for val in vars(powers).values():
+            val.setflags(write=False)
+        return powers
+
+    def free_states(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """x_i = A^i x + Gamma_i u for i = 1..N, one row per step."""
+        N, q = self.Q_powers_T.shape[:2]
+        p = self.P_powers.shape[1]
+        PX = (self.P_powers @ x.reshape(p, q)).reshape(N, p, q)
+        xs = np.matmul(PX, self.Q_powers_T).reshape(N, p * q)
+        xs += (self.gamma @ u).reshape(N, p * q)
+        return xs
+
+
 @dataclass(frozen=True, kw_only=True)
 class CondensedQP(SoftQP):
     """SoftQP produced by condensing, plus structural metadata.
@@ -254,6 +304,8 @@ class CondensedQP(SoftQP):
     # blkdiag(M_state, M_input, M_rate): the constraint rows over one
     # step's signal s_i
     _M: sparse.csr_matrix
+    # the horizon powers of a Kronecker A; None for a dense A
+    _powers: KroneckerPowers = None
 
     @property
     def qp(self) -> CondensedQP:
@@ -265,16 +317,20 @@ class CondensedQP(SoftQP):
         return self.layout.n_u
 
     def _free_response(self, z):
-        """s_i = [x_i; u_prev; 0] at v = 0, rolling x_i = A x_{i-1} +
-        B u_prev N steps from x; one column per step, so the per-step
-        block applies to all steps in one product."""
+        """s_i = [x_i; u_prev; 0] at v = 0, with x_i = A x_{i-1} +
+        B u_prev from x, i = 1..N: from the cached powers of a Kronecker
+        A, or rolled out step by step with a dense one.  One column per
+        step, so the per-step block applies to all steps in one
+        product."""
         lay = self.layout
-        u_prev = z[lay.n_x:lay.y_ref_offset]
+        x, u_prev = z[:lay.n_x], z[lay.n_x:lay.y_ref_offset]
         s = np.zeros((lay.n_x + 2 * lay.n_u, lay.N))
         s[lay.n_x:lay.y_ref_offset] = u_prev[:, None]
+        if self._powers is not None:
+            s[:lay.n_x] = self._powers.free_states(x, u_prev).T
+            return s
         A = self.model.A
         Bu = self.model.B @ u_prev
-        x = z[:lay.n_x]
         for i in range(lay.N):
             x = A @ x
             x += Bu
@@ -285,9 +341,11 @@ class CondensedQP(SoftQP):
         """Constraint right-hand side c + Lz = c - M s_i(z, 0), i = 1..N,
         with M the per-step block.
 
-        Cost: N n_x^2 for the rollout with a dense A, or N 2n^3 with a
-        Kronecker A of two n x n factors (n_x = n^2), plus N nnz(M) for
-        the per-step block, against n_c n_z for a dense product with L.
+        Cost: N n_x^2 for the step-by-step rollout with a dense A, or
+        N (2n^3 + n_x n_u) in four array operations from the cached
+        powers of a Kronecker A of two n x n factors (n_x = n^2), plus
+        N nnz(M) for the per-step block, against n_c n_z for a dense
+        product with L.
         """
         s = self._free_response(self._check_z(z))
         # (M s)' holds one row per step, as c's rows run
@@ -318,7 +376,8 @@ def condense(model: StateSpaceModel, prob: TrackingProblem) -> CondensedQP:
     and rows per step.  Rows are thus ordered per prediction step: state
     rows at step i, then input rows at step i-1, then rate rows at i-1,
     for i = 1..N.  The z-only terms, c + Lz = c - M P_i z and the cost
-    constant, are left to the rollout in `CondensedQP`.
+    constant, are left to the free response in `CondensedQP`, for which
+    a Kronecker A's horizon powers are cached here.
     """
     A, B, C = model.A, model.B, model.C
     n_x, n_u, n_y = model.n_x, model.n_u, model.n_y
@@ -385,7 +444,9 @@ def condense(model: StateSpaceModel, prob: TrackingProblem) -> CondensedQP:
         c=np.tile(np.concatenate([b.g for b in blocks]), N), L=None,
         rho=np.tile(np.concatenate([b.rho for b in blocks]), N),
         model=model, problem=prob, layout=layout,
-        provenance=provenance, _M=M)
+        provenance=provenance, _M=M,
+        _powers=(KroneckerPowers.of(A, B, N)
+                 if isinstance(A, KroneckerOperator) else None))
 
 
 def assemble_z(x: np.ndarray, u_prev: np.ndarray, y_refs,

@@ -28,16 +28,19 @@ model, the problem and the condensed QP each hold their own read-only
 copy of what they are given, so a caller's later write to an array
 changes neither the run nor the screener's row norms.
 
-Each step forms the constraint right-hand side c + Lz once, from a
-model rollout (`CondensedQP.bound`), outside every timer.  The full
-solve, the screen, the reduced solve and the re-embedding all reuse
-it, so neither the full-solve timer nor the screen and reduced-solve
-timers include it.  In reduced and verify mode the screen's
-unconstrained minimizer v_uc is formed from the screener's precomputed
-map, also outside every timer (the solvers form their own); it is the
-screen's candidate at step 0, where there is no solution to shift.
-The rollout and the plant update only ever form A @ x, so a
-`KroneckerOperator` A (the thermal model's) runs through its factors.
+Each step forms the constraint right-hand side c + Lz once, from the
+model's free response (`CondensedQP.bound`), outside every timer.  The
+full solve, the screen, the reduced solve and the re-embedding all
+reuse it, so neither the full-solve timer nor the screen and
+reduced-solve timers include it.  In reduced and verify mode the
+screen's unconstrained minimizer v_uc is formed from the screener's
+precomputed map, also outside every timer (the solvers form their
+own); it is the screen's candidate at step 0, where there is no
+solution to shift.
+With a `KroneckerOperator` A (the thermal model's), the free response
+comes from the horizon powers of its factors that `condense` caches,
+and the plant update forms A @ x through the factors, so neither forms
+a dense n_x x n_x matrix.
 """
 from __future__ import annotations
 

@@ -60,9 +60,17 @@ MAX_ITERATIONS = "MaxIterations"
 NUMERICAL_FAILURE = "NumericalFailure"
 
 
+def _float_copy(val, name):
+    """A float copy of `val`; ValueError naming `name` when its dtype is
+    complex, whose imaginary part the cast would drop."""
+    if np.iscomplexobj(val):
+        raise ValueError(f"{name} is complex; only real arrays are accepted")
+    return np.array(val, dtype=float)
+
+
 def _as_matrix(M, name):
     """A float copy of M as a 2-d array."""
-    M = np.atleast_2d(np.array(M, dtype=float))
+    M = np.atleast_2d(_float_copy(M, name))
     if M.ndim != 2:
         raise DimensionError(f"{name} must be a 2-d array, got ndim={M.ndim}")
     return M
@@ -74,7 +82,7 @@ def _as_vector(v):
 def _as_shaped(M, name, shape):
     """A float copy of M of `shape`: a 2-d M must have that shape, and a
     1-d one is reshaped to it."""
-    M = np.array(M, dtype=float)
+    M = _float_copy(M, name)
     if (M.ndim > 2 or M.ndim == 2 and M.shape != shape
             or M.size != shape[0] * shape[1]):
         raise DimensionError(f"{name} has shape {M.shape}, expected {shape}")
@@ -139,8 +147,8 @@ class SoftQP:
         H = _as_matrix(self.H, "H")
         F = _as_matrix(self.F, "F")
         n_v = H.shape[0]
-        c = np.array(self.c, dtype=float).ravel()
-        rho = np.array(self.rho, dtype=float).ravel()
+        c = _float_copy(self.c, "c").ravel()
+        rho = _float_copy(self.rho, "rho").ravel()
         W = _as_shaped(self.W, "W", (len(c), n_v))
         data = dict(H=H, F=F, W=W, c=c, rho=rho)
         if self.L is not None:

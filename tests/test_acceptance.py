@@ -103,9 +103,19 @@ def test_criterion_5_screening_overhead(thermal_run):
     timed = thermal_run.traces[1:]
     slow = [t.k for t in timed if t.t_screen_s > t.t_solve_s]
     ok = r2 >= 0.95 and not slow
+
+    def least_ratio(empty):
+        # the per-step gate's margin over the steps that keep no row
+        # (an empty solve), or over those that keep some
+        ratios = [t.t_solve_s / t.t_screen_s for t in timed
+                  if (t.n_kept == 0) == empty]
+        return f"{min(ratios):.2f}" if ratios else "none"
+
     _line(5, "screening overhead", ok,
           f"linear fit R^2 {r2:.4f}, "
-          f"screen > solve at {len(slow)} of {len(timed)} steps")
+          f"screen > solve at {len(slow)} of {len(timed)} steps, "
+          f"least solve/screen {least_ratio(True)} on empty steps and "
+          f"{least_ratio(False)} on non-empty ones")
 
 
 def test_criterion_6_ellipsoid_properties():

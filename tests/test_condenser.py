@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from campc import thermal2d
 from campc.condenser import (
     KIND_INPUT,
     KIND_RATE,
@@ -179,16 +180,22 @@ class TestCondenseAgainstRollout:
         assert no_state_rows == {True, False}
 
     def test_rollout_bound_matches_on_thermal(self, thermal_setup):
-        # bit for bit: the free response on the Kronecker grid forms the
+        # bit for bit on the dense-A twin: its free response forms the
         # products of `A @ x`, and each thermal constraint row holds a
-        # single +-1, so the per-step block's product is exact
+        # single +-1, so the per-step block's product is exact; the
+        # Kronecker model's free response comes from the cached powers,
+        # which group the same products differently
         model, prob, _ = thermal_setup
-        cqp = condense(model, prob)
+        dense = StateSpaceModel(A=np.asarray(model.A), B=model.B, C=model.C)
+        got, twin = condense(model, prob), condense(dense, prob)
+        assert got._powers is not None and twin._powers is None
         rng = np.random.default_rng(12)
         for _ in range(3):
-            z = rng.normal(scale=5.0, size=cqp.n_z)
-            assert np.array_equal(cqp.bound(z),
-                                  _bound_by_rollout(model, prob, z))
+            z = rng.normal(scale=5.0, size=got.n_z)
+            assert np.array_equal(twin.bound(z),
+                                  _bound_by_rollout(dense, prob, z))
+            assert _rel_err(got.bound(z),
+                            _bound_by_rollout(model, prob, z)) <= 1e-14
 
     def test_cost_constant_on_thermal(self, thermal_setup):
         model, prob, _ = thermal_setup
@@ -396,6 +403,45 @@ class TestKroneckerOperator:
                             _bound_by_rollout(dense, prob, z)) <= 1e-13
 
 
+class TestKroneckerPowers:
+    """The free response from the cached horizon powers of a Kronecker
+    A, against the step-by-step rollout of its dense form."""
+
+    @pytest.mark.parametrize("p, q", [(1, 3), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("N", [1, 2, 5, 10])
+    def test_matches_rollout_on_random_factors(self, p, q, N):
+        rng = np.random.default_rng(100 * p + 10 * q + N)
+        for _ in range(5):
+            A = KroneckerOperator(0.5 * rng.normal(size=(p, p)),
+                                  rng.normal(size=(q, q)) / np.sqrt(q))
+            n_x, n_u = p * q, int(rng.integers(1, 3))
+            B = rng.normal(size=(n_x, n_u))
+            C = rng.normal(size=(2, n_x))
+            blk = ConstraintBlock(M=rng.normal(size=(3, n_x)),
+                                  g=rng.normal(size=3), rho=np.ones(3))
+            prob = TrackingProblem(Q=np.eye(2), R=np.eye(n_u), N=N,
+                                   state_constraints=blk)
+            dense = StateSpaceModel(A=np.asarray(A), B=B, C=C)
+            cqp = condense(StateSpaceModel(A=A, B=B, C=C), prob)
+            assert cqp._powers is not None
+            z = rng.normal(size=cqp.n_z)
+            assert _rel_err(cqp.bound(z),
+                            _bound_by_rollout(dense, prob, z)) <= 1e-13
+            want, _ = _rollout(dense, prob, z, np.zeros(cqp.n_v))
+            assert abs(cqp.cost_constant(z) - want) <= 1e-13 * abs(want)
+
+    def test_matches_rollout_on_thermal_at_horizon_10(self):
+        model, prob, _ = thermal2d.build_thermal_benchmark(
+            thermal2d.ThermalConfig(horizon=10))
+        cqp = condense(model, prob)
+        assert cqp._powers is not None
+        z = np.random.default_rng(16).normal(scale=5.0, size=cqp.n_z)
+        assert _rel_err(cqp.bound(z),
+                        _bound_by_rollout(model, prob, z)) <= 1e-13
+        want, _ = _rollout(model, prob, z, np.zeros(cqp.n_v))
+        assert abs(cqp.cost_constant(z) - want) <= 1e-13 * abs(want)
+
+
 class TestPerStepVectors:
     def test_assemble_z_concatenates(self):
         assert np.array_equal(
@@ -597,8 +643,15 @@ _QP_ARRAYS = dict(H=2.0 * np.eye(2), F=np.ones((2, 1)), W=np.ones((3, 2)),
     (_condensed, dict(A=0.5 * np.eye(2), B=np.ones((2, 1)),
                       C=np.ones((1, 2)), Q=np.eye(1), R=np.eye(1),
                       M=np.eye(1), g=np.ones(1), rho=np.ones(1))),
+    # the Kronecker model's cached horizon powers too
+    (lambda P, Q_factor, **a: _condensed(
+        A=KroneckerOperator(P, Q_factor), **a),
+     dict(P=0.5 * np.eye(2), Q_factor=np.ones((2, 2)), B=np.ones((4, 1)),
+          C=np.ones((1, 4)), Q=np.eye(1), R=np.eye(1), M=np.eye(1),
+          g=np.ones(1), rho=np.ones(1))),
 ], ids=["SoftQP", "Screener", "TrackingProblem", "KroneckerOperator",
-        "StateSpaceModel", "ConstraintBlock", "CondensedQP"])
+        "StateSpaceModel", "ConstraintBlock", "CondensedQP",
+        "CondensedQP-Kronecker"])
 def test_containers_hold_read_only_copies(build, given):
     # a caller's later write must not change the problem, nor leave a
     # screener's row norms stale
@@ -611,3 +664,25 @@ def test_containers_hold_read_only_copies(build, given):
     after = list(_held_arrays(held, set()))
     assert all(np.array_equal(x, y) for x, y in zip(before, after))
     assert not any(val.flags.writeable for val in after)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: SoftQP(**{**_QP_ARRAYS, "H": (1 + 1j) * np.eye(2)}), "H"),
+    (lambda: SoftQP(**{**_QP_ARRAYS, "W": 1j * np.ones((3, 2))}), "W"),
+    (lambda: SoftQP(**{**_QP_ARRAYS, "c": [1j, 1.0, 1.0]}), "c"),
+    (lambda: SoftQP(**{**_QP_ARRAYS, "rho": (1 + 1j) * np.ones(3)}), "rho"),
+    (lambda: StateSpaceModel(A=np.eye(2), B=[1j, 1.0], C=np.ones((1, 2))),
+     "B"),
+    (lambda: StateSpaceModel(A=np.eye(2), B=np.ones(2), C=[1.0, 1j]), "C"),
+    (lambda: KroneckerOperator((1 + 2j) * np.eye(2), np.eye(2)), "P"),
+    (lambda: ConstraintBlock(M=np.eye(2), g=[1j, 1.0], rho=1.0), "g"),
+    (lambda: ConstraintBlock(M=np.eye(2), g=np.ones(2), rho=[1.0, 1j]),
+     "rho"),
+    (lambda: ConstraintBlock(M=sparse.csr_matrix(1j * np.eye(2)),
+                             g=np.ones(2), rho=1.0), "M"),
+], ids=["SoftQP-H", "SoftQP-W", "SoftQP-c", "SoftQP-rho", "model-B",
+        "model-C", "Kronecker-P", "block-g", "block-rho", "block-sparse-M"])
+def test_complex_arrays_are_rejected(build, name):
+    # a float cast would drop the imaginary part with only a warning
+    with pytest.raises(ValueError, match=f"^{name} is complex"):
+        build()
