@@ -30,7 +30,8 @@ import numpy as np
 from scipy import sparse
 
 from campc.numqp import (DimensionError, SoftQP, SolveResult, _as_matrix,
-                         _float_copy, _require_count, _require_finite)
+                         _as_vector, _float_copy, _require_count,
+                         _require_finite)
 
 KIND_STATE = "state"
 KIND_INPUT = "input"
@@ -455,22 +456,23 @@ def assemble_z(x: np.ndarray, u_prev: np.ndarray, y_refs,
 
     Raises DimensionError for a block that does not match the layout,
     and ValueError naming the block (x, u_prev or the reference window)
-    that holds NaN or inf.
+    that is complex or holds NaN or inf, each checked once on z.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    u_prev = np.asarray(u_prev, dtype=float).ravel()
-    refs = [np.asarray(yr, dtype=float).ravel() for yr in y_refs]
+    x, u_prev = np.asarray(x).ravel(), np.asarray(u_prev).ravel()
+    refs = [np.asarray(yr).ravel() for yr in y_refs]
     if len(x) != layout.n_x or len(u_prev) != layout.n_u:
         raise DimensionError("x/u_prev lengths do not match layout")
     if len(refs) != layout.N or any(len(yr) != layout.n_y for yr in refs):
         raise DimensionError("reference window does not match layout")
     z = np.concatenate([x, u_prev] + refs)
-    if not np.isfinite(z).all():
-        n_xu = len(x) + len(u_prev)
-        for name, block in (("x", x), ("u_prev", u_prev),
-                            ("reference window", z[n_xu:])):
+    if z.dtype != float or not np.isfinite(z).all():
+        # name the first block that is complex or holds NaN or inf
+        for name, block in (("x", [x]), ("u_prev", [u_prev]),
+                            ("reference window", refs)):
+            block = _float_copy(np.concatenate(block), name)
             if not np.isfinite(block).all():
                 raise ValueError(f"{name} holds NaN or inf")
+        z = z.astype(float)
     return z
 
 
@@ -481,10 +483,7 @@ def shift_warm_start(prev: SolveResult, qp: CondensedQP) -> np.ndarray:
     shift; the closed loop starts from the unconstrained minimizer.
     """
     n_u = qp.n_u
-    v_prev = np.asarray(prev.v_star, dtype=float).ravel()
-    if len(v_prev) != qp.n_v:
-        raise DimensionError(
-            f"previous solution has length {len(v_prev)}, expected {qp.n_v}")
+    v_prev = _as_vector(prev.v_star, "previous solution", qp.n_v)
     return np.concatenate([v_prev[n_u:], np.zeros(n_u)])
 
 

@@ -11,7 +11,8 @@ The full problem is solved by the interior point method
 speedup ratio.  The reduced problem is solved by the active set
 (`solve_active_set`), which falls back to the interior point method
 when its exit is not a KKT point; with no kept row either is the closed
-form.  The reduced-solve timer covers `reduce_qp` and that solve.
+form.  The screen timer covers `Screener.step`, its shape check
+included; the reduced-solve timer covers `reduce_qp` and that solve.
 
 The active set is warm-started by the receding horizon principle, as
 the screen's candidate is: the loop keeps the row classes (at the
@@ -24,9 +25,9 @@ every timing repeat starts from the same classes.  After a fallback to
 the interior point method the next step starts cold.
 
 The plant is propagated with the controller model (no mismatch).  The
-model, the problem and the condensed QP each hold their own read-only
-copy of what they are given, so a caller's later write to an array
-changes neither the run nor the screener's row norms.
+scenario, the model, the problem and the condensed QP each hold their
+own copy of what they are given, read-only but for x0 and u_prev0, so
+a caller's later write to an array cannot change the run.
 
 Each step forms the constraint right-hand side c + Lz once, from the
 model's free response (`CondensedQP.bound`), outside every timer.  The
@@ -59,6 +60,7 @@ from campc.numqp import (
     SolverOptions,
     solve_active_set,
     solve_soft_qp,
+    _as_vector,
     _require_count,
 )
 
@@ -73,7 +75,7 @@ DEV_TOL = 1e-6
 
 @dataclass
 class Scenario:
-    """One closed-loop experiment."""
+    """One closed-loop experiment; it holds writable copies of x0, u_prev0."""
 
     model: StateSpaceModel
     problem: TrackingProblem
@@ -90,12 +92,10 @@ class Scenario:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         _require_count("timing_repeats", self.timing_repeats, 1)
-        if self.x0 is None:
-            self.x0 = np.zeros(self.model.n_x)
-        if self.u_prev0 is None:
-            self.u_prev0 = np.zeros(self.model.n_u)
-        self.x0 = np.asarray(self.x0, dtype=float).ravel()
-        self.u_prev0 = np.asarray(self.u_prev0, dtype=float).ravel()
+        for name, n in (("x0", self.model.n_x), ("u_prev0", self.model.n_u)):
+            val = getattr(self, name)
+            setattr(self, name, np.zeros(n) if val is None
+                    else _as_vector(val, name, n).copy())
 
 
 @dataclass

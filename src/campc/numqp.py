@@ -32,7 +32,7 @@ system of those classes exactly and returns that point's KKT residual:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -63,7 +63,8 @@ NUMERICAL_FAILURE = "NumericalFailure"
 def _float_copy(val, name):
     """A float copy of `val`; ValueError naming `name` when its dtype is
     complex, whose imaginary part the cast would drop."""
-    if np.iscomplexobj(val):
+    val = np.asarray(val)
+    if val.dtype.kind == "c":
         raise ValueError(f"{name} is complex; only real arrays are accepted")
     return np.array(val, dtype=float)
 
@@ -75,8 +76,16 @@ def _as_matrix(M, name):
         raise DimensionError(f"{name} must be a 2-d array, got ndim={M.ndim}")
     return M
 
-def _as_vector(v):
-    return np.asarray(v, dtype=float).ravel()
+
+def _as_vector(v, name, n):
+    """`v` raveled to a real float vector of length n, copied if not one."""
+    v = np.asarray(v)
+    if v.dtype != float:
+        v = _float_copy(v, name)
+    v = v.ravel()
+    if len(v) != n:
+        raise DimensionError(f"{name} has length {len(v)}, expected {n}")
+    return v
 
 
 def _as_shaped(M, name, shape):
@@ -129,10 +138,11 @@ class SoftQP:
     holds its own read-only copy of each array it is given.
 
     The Cholesky factor G of H (upper triangular, H = G'G) is computed
-    once and cached.  A 2-d W must be (len(c), n_v) and a 2-d L
+    once from H and cached.  A 2-d W must be (len(c), n_v) and a 2-d L
     (len(c), n_z); a 1-d one is reshaped to that shape.  L may be None
     (`CondensedQP`); c + Lz is then formed by a subclass or passed to
-    the solvers as `rhs`.
+    the solvers as `rhs`.  A vector argument (z, rhs) is checked for
+    realness and length where it enters; `Screener.step` checks shapes.
     """
 
     H: np.ndarray
@@ -141,7 +151,7 @@ class SoftQP:
     c: np.ndarray
     L: np.ndarray
     rho: np.ndarray
-    G: np.ndarray = None  # cached factor; computed if not supplied
+    G: np.ndarray = field(init=False)   # the Cholesky factor of H
 
     def __post_init__(self):
         H = _as_matrix(self.H, "H")
@@ -161,8 +171,7 @@ class SoftQP:
         if len(rho) and rho.min() <= 0.0:
             raise ValueError("all slack penalties rho must be positive")
         _require_finite(**data)
-        data["G"] = (np.array(self.G) if self.G is not None
-                     else cholesky_factor(H))
+        data["G"] = cholesky_factor(H)
         for name, val in data.items():
             val.setflags(write=False)
             object.__setattr__(self, name, val)
@@ -198,10 +207,7 @@ class SoftQP:
         return 0.5 * v @ self.H @ v + v @ (self.F @ z) + self.rho @ eps
 
     def _check_z(self, z):
-        z = _as_vector(z)
-        if len(z) != self.n_z:
-            raise DimensionError(f"z has length {len(z)}, expected {self.n_z}")
-        return z
+        return _as_vector(z, "z", self.n_z)
 
 
 @dataclass(frozen=True)
@@ -294,7 +300,7 @@ def solve_soft_qp(qp: SoftQP, z: np.ndarray,
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # strictly interior start: slack/dual pairs at >= 1
         g = qp.F @ z
-        b = qp.bound(z) if rhs is None else _checked_rhs(qp, rhs)
+        b = qp.bound(z) if rhs is None else _as_vector(rhs, "rhs", qp.n_c)
         # LAPACK's solve through G called directly, as `_active_set` calls
         # it: on an empty reduced problem scipy's cho_solve wrapper
         # costs more than the solve
@@ -429,7 +435,7 @@ def solve_active_set(qp: SoftQP, z: np.ndarray,
         return solve_soft_qp(qp, z, opts, rhs=rhs)
     z = qp._check_z(z)
     with np.errstate(over="ignore", invalid="ignore"):
-        b = qp.bound(z) if rhs is None else _checked_rhs(qp, rhs)
+        b = qp.bound(z) if rhs is None else _as_vector(rhs, "rhs", qp.n_c)
         g = qp.F @ z
     out = _active_set(qp, b, g, start[0], start[1])
     if out is not None and out[2] <= opts.tol:
@@ -438,14 +444,6 @@ def solve_active_set(qp: SoftQP, z: np.ndarray,
                            passes, kkt)
     start[:] = False
     return solve_soft_qp(qp, z, opts, rhs=b)
-
-
-def _checked_rhs(qp, rhs):
-    rhs = _as_vector(rhs)
-    if len(rhs) != qp.n_c:
-        raise DimensionError(
-            f"rhs has length {len(rhs)}, expected {qp.n_c}")
-    return rhs
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")

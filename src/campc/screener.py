@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.blas import dtrsm
 
-from campc.numqp import DimensionError, SoftQP, SolveResult, _checked_rhs
+from campc.numqp import DimensionError, SoftQP, SolveResult, _as_vector
 
 
 # largest slack a removed row may need at the reduced minimizer
@@ -38,7 +38,8 @@ class EllipsoidBound:
         return self.radius_sq(v) <= self.sigma * (1.0 + rel_tol) + rel_tol
 
     def radius_sq(self, v: np.ndarray) -> float:
-        return float(np.sum((self.G @ (np.asarray(v, float) - self.q)) ** 2))
+        v = _as_vector(v, "v", len(self.q))
+        return float(np.sum((self.G @ (v - self.q)) ** 2))
 
 
 @dataclass(frozen=True)
@@ -93,10 +94,15 @@ class Screener:
         rule of `screen`.  The ellipsoid center q = (v~ + v_uc)/2
         enters only through W q, so W v~ and W q come from one
         (2, n_v) @ W' product, a single pass over W; a column-major W
-        (`condense` builds one) makes W' the contiguous operand.
+        (`condense` builds one) makes W' the contiguous operand.  This
+        call is timed, so it checks only the three arrays' shapes.
         """
         qp = self.qp
-        vq = np.empty((2, qp.n_v))
+        n_c, n_v = qp.W.shape
+        if (v_tilde.shape, v_uc.shape, rhs.shape) != ((n_v,), (n_v,), (n_c,)):
+            raise DimensionError(
+                f"v_tilde, v_uc, rhs must have lengths {n_v}, {n_v}, {n_c}")
+        vq = np.empty((2, n_v))
         vq[0] = v_tilde
         np.add(v_tilde, v_uc, out=vq[1])
         vq[1] *= 0.5
@@ -147,10 +153,7 @@ def complete_slacks(v_tilde: np.ndarray, qp: SoftQP,
                     z: np.ndarray) -> np.ndarray:
     """Minimal slacks making (v~, eps~) feasible: max(0, Wv~ - c - Lz),
     with c + Lz formed by `qp.bound`."""
-    v_tilde = np.asarray(v_tilde, dtype=float).ravel()
-    if len(v_tilde) != qp.n_v:
-        raise DimensionError(
-            f"candidate has length {len(v_tilde)}, expected {qp.n_v}")
+    v_tilde = _as_vector(v_tilde, "candidate", qp.n_v)
     return np.maximum(0.0, qp.W @ v_tilde - qp.bound(z))
 
 
@@ -161,8 +164,8 @@ def ellipsoid_bound(v_tilde: np.ndarray, eps_tilde: np.ndarray, qp: SoftQP,
     Center q = (v~ + v_uc)/2 with v_uc = -H^-1 Fz; squared radius
     sigma = rho'eps~ + |G(v~ - v_uc)|^2 / 4.
     """
-    v_tilde = np.asarray(v_tilde, dtype=float).ravel()
-    eps_tilde = np.asarray(eps_tilde, dtype=float).ravel()
+    v_tilde = _as_vector(v_tilde, "candidate", qp.n_v)
+    eps_tilde = _as_vector(eps_tilde, "slacks", qp.n_c)
     v_uc = qp.unconstrained_minimizer(z)
     q = 0.5 * (v_tilde + v_uc)
     sigma = float(qp.rho @ eps_tilde
@@ -216,18 +219,17 @@ def expand_solution(red: SolveResult, kept: KeptSet, qp, z: np.ndarray,
     """
     if kept.n_c != qp.n_c:
         raise DimensionError("kept set built for a different problem")
-    if len(red.eps_star) != len(kept):
-        raise DimensionError("reduced slacks do not match the kept rows")
-    v = np.asarray(red.v_star, dtype=float).ravel()
+    eps_kept = _as_vector(red.eps_star, "reduced slacks", len(kept))
+    v = _as_vector(red.v_star, "reduced minimizer", qp.n_v)
     eps = qp.W @ v
-    eps -= _checked_rhs(qp, rhs)
+    eps -= _as_vector(rhs, "rhs", qp.n_c)
     np.maximum(eps, 0.0, out=eps)
     eps[kept.indices] = 0.0    # the max below runs over removed rows
     if eps.max(initial=0.0) > REMOVED_SLACK_TOL:
         j = int(np.argmax(eps))
         raise EquivalenceViolation(
             f"removed constraint {j} violated by {eps[j]:.3e}")
-    eps[kept.indices] = red.eps_star
+    eps[kept.indices] = eps_kept
     return SolveResult(
         v_star=v,
         eps_star=eps,

@@ -175,7 +175,7 @@ def test_criterion_8_solver_quality():
             worst_kkt = max(worst_kkt, res.kkt_residual)
         if i < 60:
             stiff = SoftQP(H=qp.H, F=qp.F, W=qp.W, c=qp.c, L=qp.L,
-                           rho=np.full(qp.n_c, 1e6), G=qp.G)
+                           rho=np.full(qp.n_c, 1e6))
             res_s = solve_soft_qp(stiff, z)
             if np.abs(res_s.eps_star).max() <= 1e-8:  # feasible set nonempty
                 hard = _hard_qp_minimizer(qp, z)

@@ -21,8 +21,11 @@ from campc.condenser import (
     extract_input,
     shift_warm_start,
 )
-from campc.numqp import DimensionError, SoftQP, cholesky_factor, solve_soft_qp
-from campc.screener import precompute_row_norms
+from campc.harness import Scenario
+from campc.numqp import (DimensionError, SoftQP, cholesky_factor,
+                         solve_active_set, solve_soft_qp)
+from campc.screener import (KeptSet, ellipsoid_bound, expand_solution,
+                            precompute_row_norms)
 
 
 def _random_setup(rng, with_constraints=True):
@@ -628,8 +631,7 @@ def _condensed(A, B, C, Q, R, M, g, rho):
 
 
 _QP_ARRAYS = dict(H=2.0 * np.eye(2), F=np.ones((2, 1)), W=np.ones((3, 2)),
-                  c=np.ones(3), L=np.ones((3, 1)), rho=np.ones(3),
-                  G=np.sqrt(2.0) * np.eye(2))
+                  c=np.ones(3), L=np.ones((3, 1)), rho=np.ones(3))
 
 
 @pytest.mark.parametrize("build, given", [
@@ -680,9 +682,67 @@ def test_containers_hold_read_only_copies(build, given):
      "rho"),
     (lambda: ConstraintBlock(M=sparse.csr_matrix(1j * np.eye(2)),
                              g=np.ones(2), rho=1.0), "M"),
+    # the vectors each call takes, where they enter
+    (lambda: solve_soft_qp(SoftQP(**_QP_ARRAYS), [1j]), "z"),
+    (lambda: solve_active_set(SoftQP(**_QP_ARRAYS), [1.0],
+                              rhs=[1.0, 1j, 1.0]), "rhs"),
+    (lambda: ellipsoid_bound([1.0, 1j], np.zeros(3), SoftQP(**_QP_ARRAYS),
+                             [1.0]), "candidate"),
+    (lambda: assemble_z([1.0], [2.0], [[3.0], [1j]], ZLayout(1, 1, 1, 2)),
+     "reference window"),
+    (lambda: _scenario(x0=[0.5, 0.5j]), "x0"),
 ], ids=["SoftQP-H", "SoftQP-W", "SoftQP-c", "SoftQP-rho", "model-B",
-        "model-C", "Kronecker-P", "block-g", "block-rho", "block-sparse-M"])
+        "model-C", "Kronecker-P", "block-g", "block-rho", "block-sparse-M",
+        "solve-z", "active-set-rhs", "ellipsoid-candidate",
+        "assemble-z-reference", "Scenario-x0"])
 def test_complex_arrays_are_rejected(build, name):
     # a float cast would drop the imaginary part with only a warning
     with pytest.raises(ValueError, match=f"^{name} is complex"):
         build()
+
+
+def _scenario(**kwargs):
+    """A two-state, one-input closed loop."""
+    model = StateSpaceModel(A=0.5 * np.eye(2), B=np.ones((2, 1)),
+                            C=np.ones((1, 2)))
+    prob = TrackingProblem(Q=np.eye(1), R=np.eye(1), N=2)
+    return Scenario(model=model, problem=prob,
+                    references=lambda k: [np.ones(1)] * 2, **kwargs)
+
+
+# n_v = 4, n_c = 9, n_z = 1
+_QP_4X9 = SoftQP(H=np.eye(4), F=np.ones((4, 1)), W=np.ones((9, 4)),
+                 c=np.ones(9), L=np.ones((9, 1)), rho=np.ones(9))
+_KEEP_ALL = KeptSet(indices=np.arange(9), n_c=9)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: ellipsoid_bound([0.0], np.zeros(9), _QP_4X9, [1.0]),
+     "candidate has length 1, expected 4"),
+    (lambda: ellipsoid_bound(np.zeros(4), [0.0], _QP_4X9, [1.0]),
+     "slacks has length 1, expected 9"),
+    (lambda: ellipsoid_bound(np.zeros(4), np.zeros(9), _QP_4X9,
+                             [1.0]).contains([0.0]),
+     "v has length 1, expected 4"),
+    (lambda: expand_solution(
+        dataclasses.replace(solve_soft_qp(_QP_4X9, [1.0]),
+                            v_star=np.zeros(1)),
+        _KEEP_ALL, _QP_4X9, [1.0], rhs=_QP_4X9.bound([1.0])),
+     "reduced minimizer has length 1, expected 4"),
+    (lambda: precompute_row_norms(_QP_4X9).step(
+        np.zeros(1), np.zeros(4), np.zeros(9)), "v_tilde, v_uc, rhs must"),
+    (lambda: precompute_row_norms(_QP_4X9).step(
+        np.zeros(4), np.zeros(1), np.zeros(9)), "v_tilde, v_uc, rhs must"),
+    (lambda: precompute_row_norms(_QP_4X9).step(
+        np.zeros(4), np.zeros(4), np.zeros(1)), "v_tilde, v_uc, rhs must"),
+    (lambda: _scenario(x0=[0.0]), "x0 has length 1, expected 2"),
+    (lambda: _scenario(u_prev0=np.zeros(2)), "u_prev0 has length 2, "
+     "expected 1"),
+], ids=["ellipsoid-candidate", "ellipsoid-slacks", "ellipsoid-contains",
+        "expand-minimizer", "step-v_tilde", "step-v_uc", "step-rhs",
+        "Scenario-x0", "Scenario-u_prev0"])
+def test_wrong_lengths_are_rejected(call, match):
+    # numpy would broadcast a length-1 vector, or the loop would find a
+    # wrong length only at its first step
+    with pytest.raises(DimensionError, match=f"^{re.escape(match)}"):
+        call()

@@ -44,6 +44,19 @@ class TestScenarioValidation:
         assert np.array_equal(scen.x0, np.zeros(36))
         assert np.array_equal(scen.u_prev0, np.zeros(3))
 
+    def test_holds_its_own_initial_state(self):
+        # a write to the arrays passed in, after the scenario is built,
+        # must not change the run
+        want = run_closed_loop(_small_scenario(mode="reduced", steps=3))
+        x0, u_prev0 = np.zeros(36), np.zeros(3)
+        scen = _small_scenario(mode="reduced", steps=3, x0=x0,
+                               u_prev0=u_prev0)
+        x0 += 5.0
+        u_prev0 += 1.0
+        got = run_closed_loop(scen)
+        assert np.array_equal(got.states, want.states)
+        assert np.array_equal(got.inputs, want.inputs)
+
 
 class TestClosedLoop:
     def test_input_recursion(self):

@@ -264,7 +264,7 @@ class TestSolveSoftQP:
             totals = []
             for scale in (1.0, 10.0, 100.0):
                 scaled = SoftQP(H=qp.H, F=qp.F, W=qp.W, c=qp.c, L=qp.L,
-                                rho=scale * qp.rho, G=qp.G)
+                                rho=scale * qp.rho)
                 res = solve_soft_qp(scaled, z)
                 totals.append(qp.rho @ res.eps_star)
             assert totals[0] >= totals[1] - 1e-7
@@ -596,7 +596,7 @@ class TestEnumerateOracle:
         while checked < 30:
             qp, z = random_soft_qp(rng)
             soft = SoftQP(H=qp.H, F=qp.F, W=qp.W, c=qp.c, L=qp.L,
-                          rho=np.full(qp.n_c, 1e6), G=qp.G)
+                          rho=np.full(qp.n_c, 1e6))
             res = enumerate_oracle(soft, z)
             if np.abs(res.eps_star).max() > 1e-8:
                 continue  # feasible set likely empty for this draw
