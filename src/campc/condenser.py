@@ -30,8 +30,8 @@ import numpy as np
 from scipy import sparse
 
 from campc.numqp import (DimensionError, SoftQP, SolveResult, _as_matrix,
-                         _as_vector, _float_copy, _require_count,
-                         _require_finite)
+                         _as_vector, _check_classes, _float_copy,
+                         _require_count, _require_finite)
 
 KIND_STATE = "state"
 KIND_INPUT = "input"
@@ -69,10 +69,15 @@ class KroneckerOperator:
         return KroneckerOperator(self.P.T, self.Q.T)
 
     def __matmul__(self, x):
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x)
+        if x.dtype.kind != "f":
+            x = _float_copy(x, "KroneckerOperator operand")
         p, q = self.P.shape[1], self.Q.shape[1]
-        if x.ndim == 1:
+        if x.ndim == 1 and len(x) == p * q:
             return (self.P @ x.reshape(p, q) @ self.Q.T).ravel()
+        if x.ndim != 2 or len(x) != p * q:
+            raise DimensionError(f"KroneckerOperator operand has shape "
+                                 f"{x.shape}, expected {p * q} rows")
         cols = x.shape[1]
         PX = (self.P @ x.reshape(p, q * cols)).reshape(len(self.P), q, cols)
         return (self.Q @ PX).reshape(self.shape[0], cols)
@@ -476,21 +481,28 @@ def assemble_z(x: np.ndarray, u_prev: np.ndarray, y_refs,
     return z
 
 
-def shift_warm_start(prev: SolveResult, qp: CondensedQP) -> np.ndarray:
-    """Candidate input sequence for the next step: drop the first
-    increment block of the previous solution and pad with zeros
-    (steady-state continuation).  At the first step there is nothing to
-    shift; the closed loop starts from the unconstrained minimizer.
+def shift_warm_start(prev: SolveResult, qp: CondensedQP) -> tuple:
+    """The next step's warm start (v_tilde, classes): the previous
+    solution one prediction step on.  Each prediction step takes the
+    next one's increment block and row classes (its `n_c / N` rows);
+    the last takes zero increments, holding the input, and keeps its
+    classes.  None classes (a cold start) stay None.  At the first step
+    there is nothing to shift; the closed loop starts from v_uc.
     """
     n_u = qp.n_u
     v_prev = _as_vector(prev.v_star, "previous solution", qp.n_v)
-    return np.concatenate([v_prev[n_u:], np.zeros(n_u)])
+    classes = prev.classes
+    if classes is not None:
+        _check_classes(classes, "previous classes", qp.n_c)
+        step = qp.n_c // qp.layout.N
+        classes = np.hstack([classes[:, step:], classes[:, qp.n_c - step:]])
+    return np.concatenate([v_prev[n_u:], np.zeros(n_u)]), classes
 
 
 def extract_input(v_star: np.ndarray, u_prev: np.ndarray) -> np.ndarray:
     """Applied input u = u_prev + first increment block."""
-    u_prev = np.asarray(u_prev, dtype=float).ravel()
-    v_star = np.asarray(v_star, dtype=float).ravel()
+    u_prev = _float_copy(u_prev, "u_prev").ravel()
+    v_star = _float_copy(v_star, "v_star").ravel()
     n_u = len(u_prev)
     if len(v_star) < n_u or len(v_star) % n_u:
         raise DimensionError(

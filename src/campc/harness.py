@@ -15,14 +15,14 @@ form.  The screen timer covers `Screener.step`, its shape check
 included; the reduced-solve timer covers `reduce_qp` and that solve.
 
 The active set is warm-started by the receding horizon principle, as
-the screen's candidate is: the loop keeps the row classes (at the
-boundary, violated) of the last step's minimizer over all rows, a
-removed row inactive, and shifts them one prediction step outside the
-timers by the inputs' continuation rule: each prediction step takes the
-next one's classes, and the last keeps its own.  The reduced solve
-gathers the kept rows' classes as its `start` inside its timer, so
-every timing repeat starts from the same classes.  After a fallback to
-the interior point method the next step starts cold.
+the screen's candidate is.  The loop carries one value, the last
+step's solution over all rows (`expand_solution`), with the row
+classes (at the boundary, violated) of its minimizer; outside the
+timers `shift_warm_start` shifts them and the candidate one prediction
+step.  The reduced solve gathers the kept rows' classes as its `start`
+inside its timer and only reads them, so every timing repeat starts
+from the same classes.  After a result with no classes (a fallback to
+the interior point method, an empty kept set) the next step starts cold.
 
 The plant is propagated with the controller model (no mismatch).  The
 scenario, the model, the problem and the condensed QP each hold their
@@ -143,8 +143,6 @@ def run_closed_loop(scenario: Scenario) -> RunResult:
     cache = screener.precompute_row_norms(cqp)
     A, B = scenario.model.A, scenario.model.B
     C = scenario.model.C
-    n_c = cqp.n_c
-    rows_per_step = n_c // cqp.layout.N
 
     x = scenario.x0.copy()
     u_prev = scenario.u_prev0.copy()
@@ -152,7 +150,6 @@ def run_closed_loop(scenario: Scenario) -> RunResult:
     inputs = []
     traces = []
     prev = None
-    classes = np.zeros((2, n_c), dtype=bool)   # [boundary; violated]
     full_mode = scenario.mode == "full"
     do_full = scenario.mode in ("full", "verify")
     do_reduced = scenario.mode in ("reduced", "verify")
@@ -164,7 +161,7 @@ def run_closed_loop(scenario: Scenario) -> RunResult:
         # problem regardless of screening, and both solves reuse it
         rhs = cqp.bound(z)
 
-        trace = StepTrace(k=k, n_kept=n_c, t_screen_s=0.0, t_solve_s=0.0)
+        trace = StepTrace(k=k, n_kept=cqp.n_c, t_screen_s=0.0, t_solve_s=0.0)
         repeats = scenario.timing_repeats
         res_full = None
         if do_full:
@@ -180,29 +177,23 @@ def run_closed_loop(scenario: Scenario) -> RunResult:
         if do_reduced:
             # screening setup, also outside both timers
             v_uc = cache.v_uc_map @ z
-            v_tilde = (v_uc if prev is None
-                       else condenser.shift_warm_start(prev, cqp))
-
-            start_all = _shift_classes(classes, rows_per_step)
+            v_tilde, shifted = ((v_uc, None) if prev is None
+                                else condenser.shift_warm_start(prev, cqp))
 
             def solve_step(kept):
                 red = screener.reduce_qp(cqp, kept)
-                start = start_all[:, kept.indices]
-                return start, solve_active_set(
-                    red, z, scenario.options, rhs=rhs[kept.indices],
-                    start=start)
+                start = None if shifted is None else shifted[:, kept.indices]
+                return solve_active_set(red, z, scenario.options,
+                                        rhs=rhs[kept.indices], start=start)
 
             # screen and solve are timed back to back within each repeat
             # so a load spike hits both measurements, not just one; an
             # overflowing Fz keeps every row and fails the solve, unwarned
             with np.errstate(over="ignore", invalid="ignore"):
-                (kept, (start, res_red)), (trace.t_screen_s,
-                                           trace.t_solve_s) = _timed(
+                (kept, res_red), (trace.t_screen_s, trace.t_solve_s) = _timed(
                     [lambda _: cache.step(v_tilde, v_uc, rhs), solve_step],
                     repeats)
             _require_optimal(res_red, k, traces)
-            classes[:] = False
-            classes[:, kept.indices] = start
             result = screener.expand_solution(res_red, kept, cqp, z, rhs=rhs)
             trace.n_kept = len(kept)
             if res_full is not None:
@@ -226,15 +217,6 @@ def run_closed_loop(scenario: Scenario) -> RunResult:
 
     return RunResult(traces=traces, states=np.array(states),
                      inputs=np.array(inputs), qp=cqp)
-
-
-def _shift_classes(classes, rows_per_step):
-    """Row classes one prediction step on, as `shift_warm_start` shifts
-    the inputs: row j takes the class of row j + rows_per_step, the same
-    constraint one step later, and the last step's rows keep theirs."""
-    out = classes.copy()
-    out[:, :classes.shape[1] - rows_per_step] = classes[:, rows_per_step:]
-    return out
 
 
 def _timed(fns, repeats):

@@ -27,7 +27,7 @@ system of those classes exactly and returns that point's KKT residual:
                     exit's residual exceeds `tol`.  Its cost grows with
                     the number of rows whose class the loop must change;
                     the closed loop uses it for the screened (reduced)
-                    problem, started from the previous step's classes.
+                    problem, from the classes of the last step's result.
 """
 from __future__ import annotations
 
@@ -86,6 +86,13 @@ def _as_vector(v, name, n):
     if len(v) != n:
         raise DimensionError(f"{name} has length {len(v)}, expected {n}")
     return v
+
+
+def _check_classes(classes, name, n_c):
+    """Raise DimensionError unless `classes` is a (2, n_c) bool array."""
+    if classes.shape != (2, n_c) or classes.dtype != bool:
+        raise DimensionError(f"{name} must be a (2, {n_c}) bool array, "
+                             f"got {classes.shape} {classes.dtype}")
 
 
 def _as_shaped(M, name, shape):
@@ -224,14 +231,16 @@ class SolverOptions:
 @dataclass(frozen=True)
 class SolveResult:
     """`iterations` counts interior point iterations, or active-set
-    passes when `solve_active_set` returns its own point;
-    `kkt_residual` is the scaled residual of `_kkt_residual`."""
+    passes when `solve_active_set` returns its own point, whose (2, n_c)
+    bool [boundary; violated] row classes `classes` then holds (None
+    otherwise: a cold start); `kkt_residual` is `_kkt_residual`'s."""
     v_star: np.ndarray
     eps_star: np.ndarray
     objective: float
     status: str
     iterations: int
     kkt_residual: float
+    classes: np.ndarray | None = None
 
 
 def _residual_scale(g, b, rho):
@@ -409,13 +418,13 @@ def solve_active_set(qp: SoftQP, z: np.ndarray,
 
     `start` is a (2, n_c) bool array [boundary; violated] of the classes
     the loop starts from; None starts every row inactive (a cold start).
-    `_active_set` moves one row per pass until the equality system of
-    the classes is a KKT point, and leaves `start` holding the classes
-    of the returned point.  The result is `Optimal` only if its KKT
-    residual is at most `opts.tol`, and `iterations` counts the passes.
-    Otherwise (the loop cycled, reached its pass cap or met a failed
-    solve) `start` is cleared, and the interior point method solves the
-    problem and its result is returned.  Cheapest on small problems
+    `_active_set` moves one row per pass, on a copy (`start` is only
+    read), until the equality system of the classes is a KKT point.
+    The result is `Optimal` only if its KKT residual is at most
+    `opts.tol`; `iterations` counts the passes and `classes` holds the
+    classes of the returned point.  Otherwise (the loop cycled, reached
+    its pass cap or met a failed solve) the interior point method's
+    result, with no classes, is returned.  Cheapest on small problems
     with few active rows, such as a screened problem, and from the
     classes of a nearby problem, such as the previous closed-loop step.
     `rhs` may carry a precomputed c + Lz; with no rows, or when Fz or
@@ -425,11 +434,8 @@ def solve_active_set(qp: SoftQP, z: np.ndarray,
         opts = SolverOptions()
     if start is None:
         start = np.zeros((2, qp.n_c), dtype=bool)
-    elif start.shape != (2, qp.n_c) or start.dtype != bool:
-        raise DimensionError(
-            f"start must be a (2, {qp.n_c}) bool array, got "
-            f"{start.shape} {start.dtype}")
-    elif (start[0] & start[1]).any():
+    _check_classes(start, "start", qp.n_c)
+    if (start[0] & start[1]).any():
         raise ValueError("start puts a row both at its boundary and violated")
     if qp.n_c == 0:
         return solve_soft_qp(qp, z, opts, rhs=rhs)
@@ -437,12 +443,12 @@ def solve_active_set(qp: SoftQP, z: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         b = qp.bound(z) if rhs is None else _as_vector(rhs, "rhs", qp.n_c)
         g = qp.F @ z
-    out = _active_set(qp, b, g, start[0], start[1])
+    classes = start.copy()
+    out = _active_set(qp, b, g, *classes)
     if out is not None and out[2] <= opts.tol:
         v, eps, kkt, passes = out
         return SolveResult(v, eps, qp.objective(v, eps, z), OPTIMAL,
-                           passes, kkt)
-    start[:] = False
+                           passes, kkt, classes)
     return solve_soft_qp(qp, z, opts, rhs=b)
 
 

@@ -216,6 +216,7 @@ def expand_solution(red: SolveResult, kept: KeptSet, qp, z: np.ndarray,
     `rhs` is the full problem's c + Lz.  Slacks for removed rows are
     recomputed from the minimizer as max(0, Wv - rhs); any of them
     exceeding REMOVED_SLACK_TOL signals an unsound screening decision.
+    Row classes are re-embedded with removed rows inactive; None stays.
     """
     if kept.n_c != qp.n_c:
         raise DimensionError("kept set built for a different problem")
@@ -230,11 +231,9 @@ def expand_solution(red: SolveResult, kept: KeptSet, qp, z: np.ndarray,
         raise EquivalenceViolation(
             f"removed constraint {j} violated by {eps[j]:.3e}")
     eps[kept.indices] = eps_kept
-    return SolveResult(
-        v_star=v,
-        eps_star=eps,
-        objective=qp.objective(v, eps, z),
-        status=red.status,
-        iterations=red.iterations,
-        kkt_residual=red.kkt_residual,
-    )
+    classes = red.classes
+    if classes is not None:
+        classes = np.zeros((2, qp.n_c), dtype=bool)
+        classes[:, kept.indices] = red.classes
+    return SolveResult(v, eps, qp.objective(v, eps, z), red.status,
+                       red.iterations, red.kkt_residual, classes)

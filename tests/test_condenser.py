@@ -22,8 +22,8 @@ from campc.condenser import (
     shift_warm_start,
 )
 from campc.harness import Scenario
-from campc.numqp import (DimensionError, SoftQP, cholesky_factor,
-                         solve_active_set, solve_soft_qp)
+from campc.numqp import (OPTIMAL, DimensionError, SoftQP, SolveResult,
+                         cholesky_factor, solve_active_set, solve_soft_qp)
 from campc.screener import (KeptSet, ellipsoid_bound, expand_solution,
                             precompute_row_norms)
 
@@ -474,7 +474,10 @@ class TestPerStepVectors:
         prev = type(prev)(v_star=np.array([1.0, 2.0, 3.0]),
                           eps_star=prev.eps_star, objective=0.0,
                           status=prev.status, iterations=0, kkt_residual=0.0)
-        assert np.array_equal(shift_warm_start(prev, cqp), [2.0, 3.0, 0.0])
+        v_tilde, classes = shift_warm_start(prev, cqp)
+        assert np.array_equal(v_tilde, [2.0, 3.0, 0.0])
+        # no classes (a cold start) stay none
+        assert classes is None
         short = dataclasses.replace(prev, v_star=np.array([1.0, 2.0]))
         with pytest.raises(DimensionError, match="has length 2, expected 3"):
             shift_warm_start(short, cqp)
@@ -487,7 +490,7 @@ class TestPerStepVectors:
         prev = type(prev)(v_star=np.array([1.0, 2.0, 3.0, 4.0]),
                           eps_star=prev.eps_star, objective=0.0,
                           status=prev.status, iterations=0, kkt_residual=0.0)
-        assert np.array_equal(shift_warm_start(prev, cqp),
+        assert np.array_equal(shift_warm_start(prev, cqp)[0],
                               [3.0, 4.0, 0.0, 0.0])
 
     def test_extract_input(self):
@@ -691,10 +694,15 @@ def test_containers_hold_read_only_copies(build, given):
     (lambda: assemble_z([1.0], [2.0], [[3.0], [1j]], ZLayout(1, 1, 1, 2)),
      "reference window"),
     (lambda: _scenario(x0=[0.5, 0.5j]), "x0"),
+    (lambda: KroneckerOperator(np.eye(2), np.eye(2)) @ np.array([1j, 0, 0, 0]),
+     "KroneckerOperator operand"),
+    (lambda: extract_input([1j], [0.0]), "v_star"),
+    (lambda: extract_input([0.0], [1j]), "u_prev"),
 ], ids=["SoftQP-H", "SoftQP-W", "SoftQP-c", "SoftQP-rho", "model-B",
         "model-C", "Kronecker-P", "block-g", "block-rho", "block-sparse-M",
         "solve-z", "active-set-rhs", "ellipsoid-candidate",
-        "assemble-z-reference", "Scenario-x0"])
+        "assemble-z-reference", "Scenario-x0", "Kronecker-operand",
+        "extract-input-v_star", "extract-input-u_prev"])
 def test_complex_arrays_are_rejected(build, name):
     # a float cast would drop the imaginary part with only a warning
     with pytest.raises(ValueError, match=f"^{name} is complex"):
@@ -714,6 +722,23 @@ def _scenario(**kwargs):
 _QP_4X9 = SoftQP(H=np.eye(4), F=np.ones((4, 1)), W=np.ones((9, 4)),
                  c=np.ones(9), L=np.ones((9, 1)), rho=np.ones(9))
 _KEEP_ALL = KeptSet(indices=np.arange(9), n_c=9)
+
+
+def _integrator_qp(N, M=None):
+    """A scalar integrator over N steps whose input rows, if any, are M."""
+    block = None if M is None else ConstraintBlock(M=M, g=np.ones(len(M)),
+                                                   rho=1.0)
+    return condense(StateSpaceModel(A=[[1.0]], B=[[1.0]], C=[[1.0]]),
+                    TrackingProblem(Q=[[1.0]], R=[[1.0]], N=N,
+                                    input_constraints=block))
+
+
+def _shifted(classes, cqp):
+    """The classes `shift_warm_start` hands on from a result holding
+    `classes`."""
+    prev = SolveResult(np.zeros(cqp.n_v), np.zeros(cqp.n_c), 0.0, OPTIMAL,
+                       1, 0.0, classes)
+    return shift_warm_start(prev, cqp)[1]
 
 
 @pytest.mark.parametrize("call, match", [
@@ -738,9 +763,18 @@ _KEEP_ALL = KeptSet(indices=np.arange(9), n_c=9)
     (lambda: _scenario(x0=[0.0]), "x0 has length 1, expected 2"),
     (lambda: _scenario(u_prev0=np.zeros(2)), "u_prev0 has length 2, "
      "expected 1"),
+    (lambda: KroneckerOperator(np.eye(2), np.eye(2)) @ np.zeros(3),
+     "KroneckerOperator operand has shape (3,), expected 4 rows"),
+    (lambda: KroneckerOperator(np.eye(2), np.eye(2)) @ np.zeros((2, 2)),
+     "KroneckerOperator operand has shape (2, 2), expected 4 rows"),
+    # the classes of a reduced result, not re-embedded over all rows
+    (lambda: _shifted(np.zeros((2, 1), dtype=bool),
+                      _integrator_qp(2, [[1.0]])),
+     "previous classes must be a (2, 2) bool array, got (2, 1) bool"),
 ], ids=["ellipsoid-candidate", "ellipsoid-slacks", "ellipsoid-contains",
         "expand-minimizer", "step-v_tilde", "step-v_uc", "step-rhs",
-        "Scenario-x0", "Scenario-u_prev0"])
+        "Scenario-x0", "Scenario-u_prev0", "Kronecker-operand",
+        "Kronecker-columns", "shift-classes"])
 def test_wrong_lengths_are_rejected(call, match):
     # numpy would broadcast a length-1 vector, or the loop would find a
     # wrong length only at its first step

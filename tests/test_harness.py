@@ -12,7 +12,7 @@ from campc.harness import (
     verify_equivalence,
     write_trace_csv,
 )
-from test_condenser import _random_setup
+from test_condenser import _integrator_qp, _random_setup, _shifted
 
 
 def _small_scenario(mode="verify", steps=8, **kw):
@@ -134,9 +134,16 @@ class TestClosedLoop:
 
 
 def _shift_sources(cqp):
-    """For each row j, the row whose class `_shift_classes` hands it."""
-    marks = np.arange(cqp.n_c)[None]
-    return harness._shift_classes(marks, cqp.n_c // cqp.layout.N)[0]
+    """For each row j, the row whose class `shift_warm_start` hands it,
+    read one bit of the row index per shift of bool marks."""
+    rows = np.arange(cqp.n_c)
+    src = np.zeros(cqp.n_c, dtype=int)
+    for bit in range(max(cqp.n_c - 1, 0).bit_length()):
+        marks = (rows >> bit & 1).astype(bool)
+        shifted = _shifted(np.stack([marks, ~marks]), cqp)
+        assert np.array_equal(shifted[1], ~shifted[0])
+        src |= shifted[0].astype(int) << bit
+    return src
 
 
 class TestShiftClasses:
@@ -171,14 +178,19 @@ class TestShiftClasses:
             checked += 1
 
     def test_bool_classes(self):
+        # three prediction steps of two input rows each
+        cqp = _integrator_qp(3, [[1.0], [-1.0]])
+        assert cqp.n_c == 6
         classes = np.array([[True, False, False, True, False, True],
                             [False, True, True, False, False, False]])
-        shifted = harness._shift_classes(classes, 2)
+        shifted = _shifted(classes, cqp)
         assert shifted.dtype == bool
         assert np.array_equal(shifted, [[False, True, False, True, False, True],
                                         [True, False, False, False, False, False]])
-        assert np.array_equal(harness._shift_classes(classes[:, :0], 0),
-                              np.zeros((2, 0), dtype=bool))
+        assert _shifted(None, cqp) is None
+        assert np.array_equal(
+            _shifted(np.zeros((2, 0), dtype=bool), _integrator_qp(3)),
+            np.zeros((2, 0), dtype=bool))
 
 
 def _tight_scenario(**kw):
@@ -196,18 +208,20 @@ def _tight_scenario(**kw):
 class TestWarmStart:
     def _run(self, monkeypatch, cold):
         passes, starts = [], []
-        solve = harness.solve_active_set
+        solve, shift = harness.solve_active_set, condenser.shift_warm_start
 
         def recording_solve(qp, z, opts=None, rhs=None, start=None):
-            starts.append(start.copy())
+            starts.append(None if start is None else start.copy())
             res = solve(qp, z, opts, rhs=rhs, start=start)
+            # the solve only reads its start
+            assert start is None or np.array_equal(start, starts[-1])
             passes.append(res.iterations)
             return res
 
         monkeypatch.setattr(harness, "solve_active_set", recording_solve)
         if cold:
-            monkeypatch.setattr(harness, "_shift_classes",
-                                lambda classes, _: np.zeros_like(classes))
+            monkeypatch.setattr(condenser, "shift_warm_start",
+                                lambda prev, qp: (shift(prev, qp)[0], None))
         res = run_closed_loop(_tight_scenario(mode="reduced", steps=20,
                                               timing_repeats=2))
         monkeypatch.undo()
@@ -223,8 +237,8 @@ class TestWarmStart:
         assert sum(warm_passes) < sum(cold_passes)
         # both timing repeats of a step start from the same classes
         for a, b in zip(starts[::2], starts[1::2]):
-            assert np.array_equal(a, b)
-        assert any(s.any() for s in starts)
+            assert a is b is None or np.array_equal(a, b)
+        assert any(s is not None and s.any() for s in starts)
 
 
 class TestNonFiniteInputs:

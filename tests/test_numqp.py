@@ -374,6 +374,10 @@ def _same_result(got, want):
         assert np.array_equal(getattr(got, field), getattr(want, field))
     for field in ("objective", "status", "iterations", "kkt_residual"):
         assert getattr(got, field) == getattr(want, field)
+    if want.classes is None:
+        assert got.classes is None
+    else:
+        assert np.array_equal(got.classes, want.classes)
 
 
 class TestSolveActiveSet:
@@ -501,23 +505,23 @@ class TestWarmStart:
             assert np.abs(got.v_star - want.v_star).max() <= 1e-6 * (
                 1.0 + np.abs(want.v_star).max())
             if loop is None or loop[2] > 1e-8:
-                # the fallback's answer, and a cleared start
+                # the fallback's answer, which carries no classes
                 fell_back += 1
-                assert not start.any()
+                assert got.classes is None
                 _same_result(got, solve_soft_qp(qp, z))
                 continue
             assert got.iterations == loop[3]
-            # start holds the classes of the returned point ...
+            # the result holds the classes of the returned point ...
+            eq, pinned = got.classes
             res = qp.W @ got.v_star - b
             tiny = 1e-9 * (1.0 + np.abs(b).max())
-            assert np.abs(res[start[0]]).max(initial=0.0) <= tiny
-            assert np.all(got.eps_star[~start[1]] == 0.0)
-            assert np.all(res[~start[0] & ~start[1]] <= tiny)
+            assert np.abs(res[eq]).max(initial=0.0) <= tiny
+            assert np.all(got.eps_star[~pinned] == 0.0)
+            assert np.all(res[~eq & ~pinned] <= tiny)
             # ... so a solve started from them stops after one pass
-            again = start.copy()
-            rerun = solve_active_set(qp, z, start=again)
+            rerun = solve_active_set(qp, z, start=got.classes)
             assert rerun.iterations == 1
-            assert np.array_equal(again, start)
+            assert np.array_equal(rerun.classes, got.classes)
             assert np.array_equal(rerun.v_star, got.v_star)
         # both branches ran: the loop's own exit and the fallback
         assert 0 < fell_back < 50
@@ -530,8 +534,9 @@ class TestWarmStart:
             _same_result(solve_active_set(qp, z, start=start),
                          solve_active_set(qp, z))
 
-    def test_fallback_clears_start(self):
-        # a tolerance no point meets forces the interior point method
+    def test_fallback_result_is_cold(self):
+        # a tolerance no point meets forces the interior point method,
+        # whose result carries no classes: the next solve starts cold
         rng = np.random.default_rng(21)
         opts = SolverOptions(tol=1e-300, max_iterations=30)
         checked = 0
@@ -541,11 +546,34 @@ class TestWarmStart:
             if numqp._active_set(qp, qp.bound(z), qp.F @ z,
                                  *start.copy())[2] == 0.0:
                 continue    # an exact KKT point passes any tolerance
-            _same_result(solve_active_set(qp, z, opts, start=start),
-                         solve_soft_qp(qp, z, opts))
-            assert not start.any()
+            got = solve_active_set(qp, z, opts, start=start)
+            _same_result(got, solve_soft_qp(qp, z, opts))
+            assert got.classes is None
             checked += 1
         assert checked >= 20
+
+    @pytest.mark.parametrize("kind", ["plain", "read-only", "view"])
+    def test_start_is_only_read(self, kind):
+        # the loop runs on its own copy of the classes, so a read-only
+        # start works and a view does not write into the caller's array
+        rng = np.random.default_rng(22)
+        changed = 0
+        for _ in range(100):
+            qp, z = random_soft_qp(rng)
+            start = _random_start(rng, qp.n_c)
+            want = solve_active_set(qp, z, start=start.copy())
+            wide = np.zeros((2, qp.n_c + 2), dtype=bool)
+            wide[:, 1:-1] = start
+            arg = start.copy() if kind != "view" else wide[:, 1:-1]
+            if kind == "read-only":
+                arg.setflags(write=False)
+            _same_result(solve_active_set(qp, z, start=arg), want)
+            assert np.array_equal(arg, start)
+            assert not wide[:, [0, -1]].any()
+            changed += want.classes is not None and not np.array_equal(
+                want.classes, start)
+        # most solves end on classes other than their start
+        assert changed > 50
 
     @pytest.mark.parametrize("start, error", [
         (np.zeros((2, 2), dtype=bool), DimensionError),

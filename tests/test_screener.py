@@ -435,6 +435,30 @@ class TestReduceAndExpand:
         assert np.allclose(out.v_star, [0.5], atol=1e-7)
         assert abs(out.eps_star[1]) <= 1e-9
 
+    def test_classes_are_re_embedded(self):
+        # the kept rows' classes go to their rows, every removed row is
+        # inactive, and no classes (a cold start) stay none
+        qp = SoftQP(H=np.eye(2), F=np.eye(2),
+                    W=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 0.0]],
+                    c=[0.5, 0.5, 10.0, 10.0], L=np.zeros((4, 2)),
+                    rho=np.full(4, 10.0))
+        z = [-1.0, -1.0]
+        rhs = qp.bound(z)
+        kept = KeptSet(indices=np.array([0, 1, 3]), n_c=4)
+        res = solve_active_set(reduce_qp(qp, kept), z)
+        assert np.array_equal(res.classes, [[True, True, False],
+                                            [False, False, False]])
+        out = expand_solution(res, kept, qp, z, rhs=rhs)
+        assert np.array_equal(out.classes, [[True, True, False, False],
+                                            [False, False, False, False]])
+        marked = dataclasses.replace(
+            res, classes=np.array([[False, True, True], [True, False, False]]))
+        assert np.array_equal(
+            expand_solution(marked, kept, qp, z, rhs=rhs).classes,
+            [[False, True, False, True], [True, False, False, False]])
+        cold = dataclasses.replace(res, classes=None)
+        assert expand_solution(cold, kept, qp, z, rhs=rhs).classes is None
+
     def test_unsound_removal_is_detected(self):
         # dropping the active row moves the minimizer past it
         qp = scalar_qp(c=0.5, rho=10.0)
