@@ -25,6 +25,7 @@ dense A is rolled out step by step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy import sparse
@@ -180,6 +181,7 @@ class ConstraintBlock:
         return self.M.shape[0]
 
 
+@cache     # frozen and read-only: one block per dim serves every problem
 def _empty_block(dim):
     return ConstraintBlock(np.zeros((0, dim)), np.zeros(0), np.zeros(0))
 
@@ -258,7 +260,8 @@ class KroneckerPowers:
     x_i = A^i x + Gamma_i u, i = 1..N, come from one product with the
     stacked powers of P, one batched product with those of Q, one
     product with the stacked input response and one add, in place of N
-    products with A.  The three arrays are read-only.
+    products with A.  Gamma_i comes from `condense`'s rollout.  The
+    three arrays are read-only.
     """
 
     P_powers: np.ndarray    # [P; P^2; ...; P^N], (N p, p)
@@ -266,20 +269,20 @@ class KroneckerPowers:
     gamma: np.ndarray       # [Gamma_1; ...; Gamma_N], Gamma_i = sum_{j<i} A^j B
 
     @classmethod
-    def of(cls, A: KroneckerOperator, B: np.ndarray, N: int):
-        """The powers for horizon N: 2(N - 1) products of the factors
-        and N - 1 products of A on B."""
+    def of(cls, A: KroneckerOperator, gamma: np.ndarray):
+        """The powers for horizon N = len(gamma), gamma holding the
+        (n_x, n_u) Gamma_1..Gamma_N: 2(N - 1) products of the factors."""
         P, Q = A.P, A.Q
+        N = len(gamma)
         P_powers = np.empty((N, *P.shape))
         Q_powers_T = np.empty((N, *Q.shape))
-        gamma = np.empty((N, *B.shape))
-        P_powers[0], Q_powers_T[0], gamma[0] = P, Q.T, B
+        P_powers[0], Q_powers_T[0] = P, Q.T
         for i in range(1, N):
             P_powers[i] = P @ P_powers[i - 1]
             Q_powers_T[i] = Q_powers_T[i - 1] @ Q.T
-            gamma[i] = A @ gamma[i - 1] + B
+        # concatenate copies, where a reshape could return a view
         powers = cls(P_powers.reshape(-1, P.shape[1]), Q_powers_T,
-                     gamma.reshape(-1, B.shape[1]))
+                     np.concatenate(gamma))
         for val in vars(powers).values():
             val.setflags(write=False)
         return powers
@@ -375,7 +378,8 @@ def condense(model: StateSpaceModel, prob: TrackingProblem) -> CondensedQP:
     s_i = [x_i; u_{i-1}; du_{i-1}] = P_i z + V_i v for i = 1..N.  It runs
     over the [u_prev; v] columns only (n_u + n_v of them): the x
     column of x_i is A^i, so C A^i (for F) comes from the transposed
-    rollout (A')^i C' instead.  The constraint rows of step i are
+    rollout (A')^i C' instead, and F is filled from 2 (C V_i)' Q one
+    column block at a time.  The constraint rows of step i are
     M s_i with the per-step block M = blkdiag(M_state, M_input, M_rate),
     held sparse with only the blocks' nonzeros, so the rows of
     W are M V_i, and c, rho and the provenance repeat the blocks' g, rho
@@ -383,7 +387,8 @@ def condense(model: StateSpaceModel, prob: TrackingProblem) -> CondensedQP:
     rows at step i, then input rows at step i-1, then rate rows at i-1,
     for i = 1..N.  The z-only terms, c + Lz = c - M P_i z and the cost
     constant, are left to the free response in `CondensedQP`, for which
-    a Kronecker A's horizon powers are cached here.
+    a Kronecker A's horizon powers are cached here, with the rollout's
+    u_prev columns of x_i as its input responses Gamma_i.
     """
     A, B, C = model.A, model.B, model.C
     n_x, n_u, n_y = model.n_x, model.n_u, model.n_y
@@ -421,13 +426,12 @@ def condense(model: StateSpaceModel, prob: TrackingProblem) -> CondensedQP:
         T = A_T @ T
         CX = C @ x
         CT = CX[:, n_u:]
-        # z-coefficient of the output error C x_i - y_ref_i
-        Ez = np.zeros((n_y, n_z))
-        Ez[:, :n_x] = T.T
-        Ez[:, n_x:n_xu] = CX[:, :n_u]
-        Ez[:, n_xu + (i - 1) * n_y:n_xu + i * n_y] = -np.eye(n_y)
-        H += 2.0 * CT.T @ Q @ CT
-        F += 2.0 * CT.T @ Q @ Ez
+        CTQ = 2.0 * CT.T @ Q
+        H += CTQ @ CT
+        # z-coefficient of C x_i - y_ref_i: T', C Gamma_i, -I on y_ref_i
+        F[:, :n_x] += CTQ @ T.T
+        F[:, n_x:n_xu] += CTQ @ CX[:, :n_u]
+        F[:, n_xu + (i - 1) * n_y:n_xu + i * n_y] = -CTQ
 
     M = sparse.block_diag([b.M for b in blocks], format="csr")
     kind = np.repeat([KIND_STATE, KIND_INPUT, KIND_RATE],
@@ -451,7 +455,7 @@ def condense(model: StateSpaceModel, prob: TrackingProblem) -> CondensedQP:
         rho=np.tile(np.concatenate([b.rho for b in blocks]), N),
         model=model, problem=prob, layout=layout,
         provenance=provenance, _M=M,
-        _powers=(KroneckerPowers.of(A, B, N)
+        _powers=(KroneckerPowers.of(A, S[:, :n_x, :n_u])
                  if isinstance(A, KroneckerOperator) else None))
 
 

@@ -34,10 +34,10 @@ model's free response (`CondensedQP.bound`), outside every timer.  The
 full solve, the screen, the reduced solve and the re-embedding all
 reuse it, so neither the full-solve timer nor the screen and
 reduced-solve timers include it.  In reduced and verify mode the
-screen's unconstrained minimizer v_uc is formed from the screener's
-precomputed map, also outside every timer (the solvers form their
-own); it is the screen's candidate at step 0, where there is no
-solution to shift.
+screen's v_uc is `cqp.unconstrained_minimizer(z)`, also outside every
+timer (the solvers form their own); it is the screen's candidate at
+step 0, where there is no solution to shift.  Only those two modes
+build the screener (`precompute_row_norms`); full mode never screens.
 With a `KroneckerOperator` A (the thermal model's), the free response
 comes from the horizon powers of its factors that `condense` caches,
 and the plant update forms A @ x through the factors, so neither forms
@@ -140,7 +140,6 @@ def run_closed_loop(scenario: Scenario) -> RunResult:
     does not reach optimality.
     """
     cqp = condenser.condense(scenario.model, scenario.problem)
-    cache = screener.precompute_row_norms(cqp)
     A, B = scenario.model.A, scenario.model.B
     C = scenario.model.C
 
@@ -150,9 +149,9 @@ def run_closed_loop(scenario: Scenario) -> RunResult:
     inputs = []
     traces = []
     prev = None
-    full_mode = scenario.mode == "full"
     do_full = scenario.mode in ("full", "verify")
     do_reduced = scenario.mode in ("reduced", "verify")
+    cache = screener.precompute_row_norms(cqp) if do_reduced else None
 
     for k in range(scenario.steps):
         z = condenser.assemble_z(x, u_prev, scenario.references(k),
@@ -168,15 +167,15 @@ def run_closed_loop(scenario: Scenario) -> RunResult:
             (res_full,), (t_full,) = _timed(
                 [lambda _: solve_soft_qp(cqp, z, scenario.options, rhs=rhs)],
                 repeats)
-            if full_mode:
-                trace.t_solve_s = t_full
-            else:
+            if do_reduced:
                 trace.t_solve_full_s = t_full
+            else:
+                trace.t_solve_s = t_full
             _require_optimal(res_full, k, traces)
 
         if do_reduced:
             # screening setup, also outside both timers
-            v_uc = cache.v_uc_map @ z
+            v_uc = cqp.unconstrained_minimizer(z)
             v_tilde, shifted = ((v_uc, None) if prev is None
                                 else condenser.shift_warm_start(prev, cqp))
 

@@ -144,11 +144,11 @@ class SoftQP:
     """Data of a soft-constrained QP; immutable after construction: it
     holds its own read-only copy of each array it is given.
 
-    The Cholesky factor G of H (upper triangular, H = G'G) is computed
-    once from H and cached.  A 2-d W must be (len(c), n_v) and a 2-d L
-    (len(c), n_z); a 1-d one is reshaped to that shape.  L may be None
-    (`CondensedQP`); c + Lz is then formed by a subclass or passed to
-    the solvers as `rhs`.  A vector argument (z, rhs) is checked for
+    The Cholesky factor G of H (upper triangular, H = G'G) and the map
+    v_uc_map = -H^-1 F are formed once.  A 2-d W must be (len(c), n_v)
+    and a 2-d L (len(c), n_z); a 1-d one is reshaped to that shape.  L
+    may be None (`CondensedQP`): c + Lz then comes from a subclass or
+    the solvers' `rhs`.  A vector argument (z, rhs) is checked for
     realness and length where it enters; `Screener.step` checks shapes.
     """
 
@@ -159,6 +159,7 @@ class SoftQP:
     L: np.ndarray
     rho: np.ndarray
     G: np.ndarray = field(init=False)   # the Cholesky factor of H
+    v_uc_map: np.ndarray = field(init=False)    # -H^-1 F
 
     def __post_init__(self):
         H = _as_matrix(self.H, "H")
@@ -179,6 +180,7 @@ class SoftQP:
             raise ValueError("all slack penalties rho must be positive")
         _require_finite(**data)
         data["G"] = cholesky_factor(H)
+        data["v_uc_map"], _ = dpotrs(data["G"], -F)
         for name, val in data.items():
             val.setflags(write=False)
             object.__setattr__(self, name, val)
@@ -203,12 +205,11 @@ class SoftQP:
         return self.c + self.L @ z
 
     def unconstrained_minimizer(self, z: np.ndarray) -> np.ndarray:
-        """Solve H v = -Fz through the cached Cholesky factor; an Fz that
-        overflows gives a non-finite v, not an error."""
+        """v_uc = -H^-1 Fz, one product with the held `v_uc_map`; a
+        product that overflows gives a non-finite v, not an error."""
         z = self._check_z(z)
         with np.errstate(over="ignore", invalid="ignore"):
-            return sla.cho_solve((self.G, False), -self.F @ z,
-                                 check_finite=False)
+            return self.v_uc_map @ z
 
     def objective(self, v: np.ndarray, eps: np.ndarray, z: np.ndarray) -> float:
         return 0.5 * v @ self.H @ v + v @ (self.F @ z) + self.rho @ eps

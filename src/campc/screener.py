@@ -12,10 +12,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg.blas import dtrsm
 
-from campc.numqp import DimensionError, SoftQP, SolveResult, _as_vector
+from campc.numqp import (DimensionError, SoftQP, SolveResult, _as_vector,
+                          _check_classes)
 
 
 # largest slack a removed row may need at the reduced minimizer
@@ -67,22 +67,19 @@ class KeptSet:
 
 @dataclass(frozen=True)
 class Screener:
-    """The per-step screen and its offline data: the row norms
-    zeta_j = |W_j G^-1|_2 and the map v_uc_map = -H^-1 F.
+    """The per-step screen and its offline data, the row norms
+    zeta_j = |W_j G^-1|_2.
 
-    `qp.bound` forms c + Lz the way the problem forms it: a
-    `CondensedQP` from its rollout.  `v_uc_map @ z` is
-    the unconstrained minimizer v_uc the screen needs, one
-    n_v x n_z product instead of a product with F and two triangular
-    solves.  One keep rule (see `screen`) decides every row; a row with
-    a zero normal (zeta_j = 0) needs no rule of its own, since it is
-    kept exactly when c_j + L_j z <= tau.  `precompute_row_norms` makes
-    zeta and v_uc_map read-only, as the problem's own arrays are.
+    The problem forms c + Lz (`qp.bound`) and the unconstrained
+    minimizer v_uc (`qp.unconstrained_minimizer`) that it screens.
+    One keep rule (see `screen`) decides every row; a row with a zero
+    normal (zeta_j = 0) needs no rule of its own, since it is kept
+    exactly when c_j + L_j z <= tau.  `precompute_row_norms` makes zeta
+    read-only, as the problem's own arrays are.
     """
 
     zeta: np.ndarray
     qp: SoftQP
-    v_uc_map: np.ndarray
 
     def step(self, v_tilde: np.ndarray, v_uc: np.ndarray,
              rhs: np.ndarray) -> KeptSet:
@@ -137,16 +134,13 @@ class Screener:
 
 def precompute_row_norms(qp: SoftQP) -> Screener:
     """The Screener of `qp`, with zeta_j = |W_j G^-1|_2 via one
-    right-side triangular solve on W and v_uc_map = -H^-1 F via the
-    cached Cholesky factor."""
+    right-side triangular solve on W."""
     # W G^-1 on W as held: a column-major W (as `condense` builds it) is
     # not copied, where a solve on W' would first copy it
     Y = dtrsm(1.0, qp.G, qp.W, side=1)
     zeta = np.linalg.norm(Y, axis=1)
-    v_uc_map = sla.cho_solve((qp.G, False), -qp.F)
-    for val in (zeta, v_uc_map):
-        val.setflags(write=False)
-    return Screener(zeta=zeta, qp=qp, v_uc_map=v_uc_map)
+    zeta.setflags(write=False)
+    return Screener(zeta=zeta, qp=qp)
 
 
 def complete_slacks(v_tilde: np.ndarray, qp: SoftQP,
@@ -187,7 +181,7 @@ def screen(cache: Screener, bound: EllipsoidBound, z: np.ndarray) -> KeptSet:
 
 
 def reduce_qp(qp: SoftQP, kept: KeptSet) -> SoftQP:
-    """SoftQP with only the kept rows; H, G, F are shared unchanged.
+    """SoftQP with only the kept rows; H, F, G and v_uc_map are shared.
     Without L (a `CondensedQP`), its solvers need `rhs`.
 
     The rows are taken from `qp`'s checked arrays, so the reduced
@@ -198,7 +192,7 @@ def reduce_qp(qp: SoftQP, kept: KeptSet) -> SoftQP:
         raise DimensionError("kept set built for a different problem")
     idx = kept.indices
     red = object.__new__(SoftQP)
-    for name in ("H", "F", "G"):
+    for name in ("H", "F", "G", "v_uc_map"):
         object.__setattr__(red, name, getattr(qp, name))
     for name in ("W", "c", "L", "rho"):
         val = getattr(qp, name)
@@ -231,8 +225,9 @@ def expand_solution(red: SolveResult, kept: KeptSet, qp, z: np.ndarray,
         raise EquivalenceViolation(
             f"removed constraint {j} violated by {eps[j]:.3e}")
     eps[kept.indices] = eps_kept
-    classes = red.classes
-    if classes is not None:
+    classes = None
+    if red.classes is not None:
+        _check_classes(red.classes, "reduced classes", len(kept))
         classes = np.zeros((2, qp.n_c), dtype=bool)
         classes[:, kept.indices] = red.classes
     return SolveResult(v, eps, qp.objective(v, eps, z), red.status,

@@ -754,6 +754,12 @@ def _shifted(classes, cqp):
                             v_star=np.zeros(1)),
         _KEEP_ALL, _QP_4X9, [1.0], rhs=_QP_4X9.bound([1.0])),
      "reduced minimizer has length 1, expected 4"),
+    # one row's classes, which numpy would broadcast over all kept rows
+    (lambda: expand_solution(
+        dataclasses.replace(solve_soft_qp(_QP_4X9, [1.0]),
+                            classes=np.zeros((2, 1), dtype=bool)),
+        _KEEP_ALL, _QP_4X9, [1.0], rhs=_QP_4X9.bound([1.0])),
+     "reduced classes must be a (2, 9) bool array, got (2, 1) bool"),
     (lambda: precompute_row_norms(_QP_4X9).step(
         np.zeros(1), np.zeros(4), np.zeros(9)), "v_tilde, v_uc, rhs must"),
     (lambda: precompute_row_norms(_QP_4X9).step(
@@ -772,8 +778,8 @@ def _shifted(classes, cqp):
                       _integrator_qp(2, [[1.0]])),
      "previous classes must be a (2, 2) bool array, got (2, 1) bool"),
 ], ids=["ellipsoid-candidate", "ellipsoid-slacks", "ellipsoid-contains",
-        "expand-minimizer", "step-v_tilde", "step-v_uc", "step-rhs",
-        "Scenario-x0", "Scenario-u_prev0", "Kronecker-operand",
+        "expand-minimizer", "expand-classes", "step-v_tilde", "step-v_uc",
+        "step-rhs", "Scenario-x0", "Scenario-u_prev0", "Kronecker-operand",
         "Kronecker-columns", "shift-classes"])
 def test_wrong_lengths_are_rejected(call, match):
     # numpy would broadcast a length-1 vector, or the loop would find a

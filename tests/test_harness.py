@@ -125,6 +125,28 @@ class TestClosedLoop:
         assert len(shifted) == 2
         assert all(prev is not None for prev in shifted)
 
+    def test_full_mode_builds_no_screener(self, monkeypatch):
+        def refuse(qp):
+            raise AssertionError("full mode built a screener")
+
+        monkeypatch.setattr(screener, "precompute_row_norms", refuse)
+        res = run_closed_loop(_small_scenario(mode="full", steps=3))
+        assert len(res.traces) == 3
+
+    @pytest.mark.parametrize("mode", ["reduced", "verify"])
+    def test_screening_modes_build_one_screener(self, monkeypatch, mode):
+        built = []
+        precompute = screener.precompute_row_norms
+
+        def recording_precompute(qp):
+            built.append(qp)
+            return precompute(qp)
+
+        monkeypatch.setattr(screener, "precompute_row_norms",
+                            recording_precompute)
+        res = run_closed_loop(_small_scenario(mode=mode, steps=3))
+        assert len(built) == 1 and built[0] is res.qp
+
     def test_verify_mode_deviation_recorded(self):
         res = run_closed_loop(_small_scenario(mode="verify"))
         for trace in res.traces:

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from campc import thermal2d
 from campc.condenser import condense
@@ -304,12 +305,15 @@ class TestScreenerStep:
 
 
 class TestUnconstrainedMinimizerMap:
-    """`Screener.v_uc_map @ z` against `SoftQP.unconstrained_minimizer`."""
+    """`SoftQP.unconstrained_minimizer` and its map `v_uc_map @ z`
+    against a solve of H v = -Fz through the Cholesky factor."""
 
     @staticmethod
-    def _rel_err(cache, qp, z):
-        want = qp.unconstrained_minimizer(z)
-        return np.abs(cache.v_uc_map @ z - want).max() / np.abs(want).max()
+    def _check(qp, z):
+        want = sla.cho_solve((qp.G, False), -qp.F @ z)
+        scale = np.abs(want).max()
+        for got in (qp.unconstrained_minimizer(z), qp.v_uc_map @ z):
+            assert np.abs(got - want).max() <= 1e-12 * scale
 
     def test_random_stream(self):
         # the stream of acceptance criterion 2, candidate draws included
@@ -317,19 +321,18 @@ class TestUnconstrainedMinimizerMap:
         for _ in range(1000):
             qp, z = random_soft_qp(rng)
             rng.normal(scale=2.0, size=qp.n_v)
-            assert self._rel_err(precompute_row_norms(qp), qp, z) <= 1e-12
+            self._check(qp, z)
 
     def test_thermal(self, thermal_setup):
         model, prob, cfg = thermal_setup
         cqp = condense(model, prob)
-        cache = precompute_row_norms(cqp)
-        assert cache.v_uc_map.shape == (cqp.n_v, cqp.n_z)
+        assert cqp.v_uc_map.shape == (cqp.n_v, cqp.n_z)
         rng = np.random.default_rng(42)
         for k in range(0, 60, 6):
             z = np.concatenate([rng.normal(scale=5.0, size=cqp.layout.n_x),
                                 rng.uniform(size=cqp.n_u),
                                 *thermal2d.reference_window(cfg, k)])
-            assert self._rel_err(cache, cqp, z) <= 1e-12
+            self._check(cqp, z)
 
 
 class TestCondensedRightHandSide:
@@ -406,6 +409,9 @@ class TestReduceAndExpand:
                           rho=qp.rho[idx])
             assert type(red) is SoftQP
             assert red.n_c == len(idx)
+            # the row-free arrays are the problem's own, not copies
+            for name in ("H", "F", "G", "v_uc_map"):
+                assert getattr(red, name) is getattr(qp, name)
             for field in dataclasses.fields(SoftQP):
                 got = getattr(red, field.name)
                 if got is None:
